@@ -37,13 +37,9 @@ from .engine import (
     ClearingResult,
     MarketState,
     SolverConfig,
-    bounds_update,
     clear_market,
     coordinator_update,
-    gradient_step,
     kkt_residual,
-    price_update,
-    trade_update,
 )
 from .errors import InfeasibleError, ValidationError
 from .network import Bus, Line, Network, load_network, net_injections, save_network, susceptance_matrix
@@ -123,7 +119,6 @@ __all__ = [
     "ZoneExchangeReport",
     "agent_payment",
     "bisection_clearing",
-    "bounds_update",
     "build_community",
     "build_gamma",
     "bus_impedance_matrix",
@@ -132,7 +127,6 @@ __all__ = [
     "coordinator_update",
     "dc_power_flow",
     "distance_matrix",
-    "gradient_step",
     "interzone_exchange",
     "kkt_residual",
     "line_rates",
@@ -144,7 +138,6 @@ __all__ = [
     "net_injections",
     "perceived_price",
     "power_transfer_distance",
-    "price_update",
     "ptdf_matrix",
     "qp_reference",
     "recommend_fee",
@@ -157,7 +150,6 @@ __all__ = [
     "thevenin_line_weights",
     "tie_line_flow",
     "total_collected",
-    "trade_update",
     "zone_crossing_matrix",
     "zones_crossed",
 ]

@@ -120,7 +120,6 @@ def _metric_pairs(policy, config, result, community, gamma, summary, report, exc
     pairs += [
         ("run.converged", "true" if result.converged else "false"),
         ("run.iterations", str(result.iterations)),
-        ("run.price_residual", fmt(result.price_residuals[-1])),
         ("run.primal_residual", fmt(result.primal_residuals[-1])),
         ("run.kkt_residual", fmt(result.kkt_residual)),
         ("market.clearing_price", fmt(reports.clearing_price(result))),

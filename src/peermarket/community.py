@@ -12,6 +12,7 @@ consumer with p_max < 0 is obliged to buy at least |p_max|.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,10 @@ class Community:
                 raise ValidationError(f"agent {agent.id}: unknown role {agent.role!r}")
             if not agent.a > 0:
                 raise ValidationError(f"agent {agent.id}: quadratic coefficient must be positive")
+            for name in ("a", "b", "c"):
+                if not math.isfinite(getattr(agent, name)):
+                    raise ValidationError(
+                        f"agent {agent.id}: cost coefficient {name} must be finite")
             if agent.role == PRODUCER and not 0 <= agent.p_min <= agent.p_max:
                 raise ValidationError(
                     f"agent {agent.id}: producer bounds need 0 <= p_min <= p_max, "

@@ -1,11 +1,11 @@
 """Consensus-based negotiation engine for bilateral electricity trades.
 
 Agents repeatedly exchange price signals with their trading partners while a
-coordinator keeps a skew-symmetric copy of the trade matrix. One iteration
-advances, in order: bilateral prices, bound multipliers, trade quantities,
-coordinator copy. The loop stops when all of these hold:
+coordinator keeps a skew-symmetric copy of the trade matrix. Every trade
+clears at one price shared by both sides; the grid fee is added on top of
+it. One iteration advances, in order: bilateral prices, bound multipliers,
+trade quantities, coordinator copy. The loop stops when all of these hold:
 
-* reciprocal prices agree within ``eps_price``;
 * agents agree with the coordinator within ``eps_primal``;
 * every proposal is stationary within ``eps_price``: at a traded pair the
   agent's marginal cost plus fee and bound multipliers meets the pair's
@@ -32,27 +32,25 @@ import numpy as np
 from .errors import ValidationError
 
 ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Gains and stopping rules for the negotiation loop.
 
-    The price gains decay as alpha0*k^-alpha_decay (innovation) and
-    beta0*k^-beta_decay (consensus). rho steps the bound multipliers. tau and
-    delta set the exploration term of the per-partner gradient weights: each
-    partner of agent n gets tau*k^-delta*(1 + sum_m |Z_nm|) on top of its own
-    |Z_nm|, so a partner with no volume keeps a share that does not shrink as
-    agent n trades more elsewhere. eps_price bounds both the price
-    disagreement and the stationarity of the proposals (€/MW); eps_primal
-    bounds the agent-coordinator disagreement and the slack of every bound
-    whose multiplier is positive (MW).
+    The price gain decays as alpha0*k^-alpha_decay. rho steps the bound
+    multipliers. tau and delta set the exploration term of the per-partner
+    gradient weights: each partner of agent n gets tau*k^-delta*(1 + sum_m
+    |Z_nm|) on top of its own |Z_nm|, so a partner with no volume keeps a
+    share that does not shrink as agent n trades more elsewhere. eps_price
+    bounds the stationarity of the proposals (€/MW); eps_primal bounds the
+    agent-coordinator disagreement and the slack of every bound whose
+    multiplier is positive (MW).
     """
 
     alpha0: float = 0.01
     alpha_decay: float = 0.05
-    beta0: float = 0.1
-    beta_decay: float = 0.05
     rho: float = 0.01
     tau: float = 1.0
     delta: float = 0.5
@@ -61,18 +59,13 @@ class SolverConfig:
     eps_primal: float = 1e-2  # MW
 
     def __post_init__(self):
-        for name in ("alpha0", "beta0", "rho", "tau", "delta", "eps_price", "eps_primal"):
+        for name in ("alpha0", "rho", "tau", "delta", "eps_price", "eps_primal"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"solver parameter {name} must be positive")
-        for name in ("alpha_decay", "beta_decay"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"solver parameter {name} must be nonnegative")
+        if self.alpha_decay < 0:
+            raise ValidationError("solver parameter alpha_decay must be nonnegative")
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be at least 1")
-
-    def gains(self, k):
-        return (self.alpha0 * k ** (-self.alpha_decay),
-                self.beta0 * k ** (-self.beta_decay))
 
 
 @dataclass
@@ -80,8 +73,9 @@ class MarketState:
     """Mutable negotiation state at iteration ``k``.
 
     ``P`` holds the agents' trade proposals, ``Z`` the coordinator's
-    skew-symmetric copy, ``y`` the bilateral prices. The community and its
-    partner mask ride along so the per-pair update rules are self-contained.
+    skew-symmetric copy, ``y`` the bilateral prices, one per pair and
+    stored symmetrically on both sides. The community and its partner mask
+    ride along so the per-pair update rules are self-contained.
     """
 
     community: object
@@ -126,17 +120,19 @@ class ClearingResult:
     mu_lo: np.ndarray
     iterations: int
     converged: bool
-    price_residuals: np.ndarray
     primal_residuals: np.ndarray
     kkt_residual: float
 
 
 def _price_matrix(state, config):
-    alpha, beta = config.gains(state.k)
-    y = state.y
-    # no partner mask needed: y, P and Z are zero off the partnered pairs and
+    """Innovation step on the one price of every pair: y - alpha_k (P + P^T)/2,
+    the excess of the two opposite proposals. It equals P - Z while Z is the
+    coordinator copy of P, and the sum commutes, so y stays symmetric bit for
+    bit from its symmetric start."""
+    alpha = config.alpha0 * state.k ** (-config.alpha_decay)
+    # no partner mask needed: y and P are zero off the partnered pairs and
     # the step keeps them zero
-    return y - beta * (y - y.T) - alpha * (state.P - state.Z)
+    return state.y - (0.5 * alpha) * (state.P + state.P.T)
 
 
 def _bound_vectors(state, config):
@@ -153,7 +149,9 @@ def _weight_matrix(state, config):
     # keeps a share while the agent trades elsewhere and that pair can heal
     explore = config.tau * state.k ** (-config.delta) * (1.0 + volume.sum(axis=1))
     raw = np.where(state.partners, volume + explore[:, None], 0.0)
-    return raw / raw.sum(axis=1, keepdims=True)
+    # an agent without partners has an all-zero row: the floor keeps it zero
+    # instead of 0/0 and leaves every positive row sum as it is
+    return raw / np.maximum(raw.sum(axis=1, keepdims=True), _TINY)
 
 
 def _trade_matrix(state, config, gamma):
@@ -172,27 +170,6 @@ def _trade_matrix(state, config, gamma):
     return np.where(state.partners, projected, 0.0), target
 
 
-def price_update(state, config, n, m):
-    """Advance one bilateral price: pull toward the partner's quote, correct
-    by the disagreement with the coordinator."""
-    return float(_price_matrix(state, config)[n, m])
-
-
-def bounds_update(state, config, n):
-    """Projected multiplier step for agent n's power bounds."""
-    mu_hi, mu_lo = _bound_vectors(state, config)
-    return float(mu_hi[n]), float(mu_lo[n])
-
-
-def gradient_step(state, config, n, m):
-    """Share of agent n's adjustment routed to partner m; each row sums to 1."""
-    return float(_weight_matrix(state, config)[n, m])
-
-
-def trade_update(state, config, gamma, n, m):
-    return float(_trade_matrix(state, config, np.asarray(gamma, dtype=float))[0][n, m])
-
-
 def coordinator_update(P):
     """Skew-symmetric reconciliation of both sides of every trade."""
     P = np.asarray(P, dtype=float)
@@ -209,8 +186,8 @@ def _accepted_trades(P):
 def clear_market(community, gamma=None, config=None):
     """Run the negotiation to equilibrium.
 
-    Non-convergence is reported through the ``converged`` flag with full
-    residual histories, never as an exception.
+    Non-convergence is reported through the ``converged`` flag with the full
+    primal residual history, never as an exception.
     """
     config = config if config is not None else SolverConfig()
     n = len(community.agents)
@@ -219,9 +196,10 @@ def clear_market(community, gamma=None, config=None):
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (n, n):
         raise ValidationError(f"gamma must be {n}x{n}, got {gamma.shape}")
+    if not np.isfinite(gamma).all():
+        raise ValidationError("gamma must be finite")
 
     state = MarketState.initial(community)
-    price_hist = []
     primal_hist = []
     converged = False
     while state.k <= config.max_iterations:
@@ -229,9 +207,8 @@ def clear_market(community, gamma=None, config=None):
         state.mu_hi, state.mu_lo = _bound_vectors(state, config)
         state.P, target = _trade_matrix(state, config, gamma)
         state.Z = coordinator_update(state.P)
-        price_hist.append(float(np.abs(state.y - state.y.T).max()))
         primal_hist.append(float(np.abs(state.P - state.Z).max()))
-        if (price_hist[-1] <= config.eps_price and primal_hist[-1] <= config.eps_primal
+        if (primal_hist[-1] <= config.eps_primal
                 and _optimal(state, target, community, config)):
             converged = True
             break
@@ -245,8 +222,7 @@ def clear_market(community, gamma=None, config=None):
         trades=trades, proposals=state.P, prices=state.y, net_powers=net,
         mu_hi=state.mu_hi, mu_lo=state.mu_lo,
         iterations=min(state.k, config.max_iterations), converged=converged,
-        price_residuals=np.asarray(price_hist), primal_residuals=np.asarray(primal_hist),
-        kkt_residual=residual)
+        primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
 
 
 def _optimal(state, target, community, config):

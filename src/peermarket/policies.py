@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import PRODUCER
 from .distances import POWER_TRANSFER, distance_matrix, zone_crossing_matrix
 from .errors import ValidationError
 
@@ -52,7 +51,6 @@ def build_gamma(policy, community, network=None, distances=None, zone_counts=Non
     """
     n = len(community.agents)
     mask = community.partner_mask()
-    sign = np.array([1.0 if ag.role == PRODUCER else -1.0 for ag in community.agents])
     if policy.kind == FREE:
         return np.zeros((n, n))
     if policy.kind == UNIQUE:
@@ -69,7 +67,7 @@ def build_gamma(policy, community, network=None, distances=None, zone_counts=Non
                 raise ValidationError("zonal policy needs zone counts or a network")
             zone_counts = zone_crossing_matrix(community, network)
         magnitude = policy.fee * np.asarray(zone_counts, dtype=float) / 2.0
-    return np.where(mask, sign[:, None] * magnitude, 0.0)
+    return np.where(mask, community.sign[:, None] * magnitude, 0.0)
 
 
 def perceived_price(y_nm, gamma_nm):

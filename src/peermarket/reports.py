@@ -1,9 +1,10 @@
 """Delimited-text report writers and readers.
 
-Every emitted file starts with a ``# peermarket <kind> v1`` marker line.
-Output is deterministic: fixed agent and line ordering, fixed float
-formats, and no timestamps or machine-specific content, so identical
-inputs give byte-identical files.
+Every emitted file starts with a ``# peermarket <kind> v<n>`` marker line:
+v2 for ``residuals`` and ``metrics``, v1 for every other kind. Output is
+deterministic: fixed agent and line ordering, fixed float formats, and no
+timestamps or machine-specific content, so identical inputs give
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ PLOT_THRESHOLD = 1e-2  # MW; below this a trade is noise on a market map
 
 _F = "{:.6f}".format
 
+SWEEP_COLUMNS = ["fee", "converged", "iterations", "volume_mw", "gamma_so",
+                 "interzone_mw", "avg_rate", "max_rate", "max_line"]
+
 
 def _bool(flag):
     return "true" if flag else "false"
 
 
-def _write(path, kind, header, rows):
+def _write(path, kind, header, rows, version=1):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# peermarket {kind} v1\n")
+        handle.write(f"# peermarket {kind} v{version}\n")
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
@@ -36,8 +40,9 @@ def _write(path, kind, header, rows):
 def clearing_price(result):
     """Volume-weighted mean bilateral price over active trades.
 
-    At a free-market equilibrium every active pair shares the consensus
-    price, so this reduces to the uniform clearing price.
+    Each trade clears at one price shared by both sides. At a free-market
+    equilibrium every active pair has the same price, so this reduces to the
+    uniform clearing price.
     """
     weights = np.where(result.trades > ACTIVE_TRADE_TOL, result.trades, 0.0)
     total = weights.sum()
@@ -76,12 +81,10 @@ def write_trades(path, community, result, gamma):
 
 def write_residuals(path, result):
     rows = [
-        (str(k + 1), "{:.9f}".format(price), "{:.9f}".format(primal))
-        for k, (price, primal) in enumerate(
-            zip(result.price_residuals, result.primal_residuals)
-        )
+        (str(k + 1), "{:.9f}".format(primal))
+        for k, primal in enumerate(result.primal_residuals)
     ]
-    _write(path, "residuals", ["iteration", "price_residual", "primal_residual"], rows)
+    _write(path, "residuals", ["iteration", "primal_residual"], rows, version=2)
 
 
 def write_powerflow(path, network, flows):
@@ -121,7 +124,7 @@ def write_trade_edges(path, community, network, result, threshold=PLOT_THRESHOLD
 def write_metrics(path, pairs):
     """key = value lines; pairs is an iterable of (key, formatted value)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# peermarket metrics v1\n")
+        handle.write("# peermarket metrics v2\n")
         for key, value in pairs:
             handle.write(f"{key} = {value}\n")
 
@@ -142,22 +145,7 @@ def write_sweep(path, records):
                 f"{r.max_line[0]}-{r.max_line[1]}",
             )
         )
-    _write(
-        path,
-        "sweep",
-        [
-            "fee",
-            "converged",
-            "iterations",
-            "volume_mw",
-            "gamma_so",
-            "interzone_mw",
-            "avg_rate",
-            "max_rate",
-            "max_line",
-        ],
-    rows,
-    )
+    _write(path, "sweep", SWEEP_COLUMNS, rows)
 
 
 def read_sweep(path):
@@ -168,25 +156,16 @@ def read_sweep(path):
         if not first.startswith("# peermarket sweep v"):
             raise ValidationError(f"{path}: not a peermarket sweep file")
         header = handle.readline().strip().split(",")
-        if header != [
-            "fee",
-            "converged",
-            "iterations",
-            "volume_mw",
-            "gamma_so",
-            "interzone_mw",
-            "avg_rate",
-            "max_rate",
-            "max_line",
-        ]:
+        if header != SWEEP_COLUMNS:
             raise ValidationError(f"{path}: unexpected sweep columns {header}")
         for lineno, raw in enumerate(handle, start=3):
             raw = raw.strip()
             if not raw or raw.startswith("#"):
                 continue
             parts = raw.split(",")
-            if len(parts) != 9:
-                raise ValidationError(f"{path}:{lineno}: expected 9 fields")
+            if len(parts) != len(SWEEP_COLUMNS):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(SWEEP_COLUMNS)} fields")
             try:
                 a, b = parts[8].split("-")
                 records.append(

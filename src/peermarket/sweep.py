@@ -100,8 +100,24 @@ def run_sweep(community, network, policy, fees, config=None, slack=None, rates_o
     return records
 
 
-def _interp(lo, hi, weight, pick):
-    return pick(lo) + weight * (pick(hi) - pick(lo))
+def _recommendation(target, lo, hi=None, weight=0.0, max_rate=None):
+    """Recommendation read off the sweep at ``weight`` of the way from record
+    lo to record hi (lo itself by default); max_rate, when given, replaces
+    the interpolated rate by the exact target."""
+
+    def pick(name):
+        a = getattr(lo, name)
+        return a if hi is None else a + weight * (getattr(hi, name) - a)
+
+    return FeeRecommendation(
+        target=target,
+        fee=pick("fee"),
+        max_rate=pick("max_rate") if max_rate is None else max_rate,
+        avg_rate=pick("avg_rate"),
+        gamma_so=pick("gamma_so"),
+        volume=pick("volume"),
+        interzone=pick("interzone"),
+    )
 
 
 def recommend_fee(records, target, value=None):
@@ -118,15 +134,7 @@ def recommend_fee(records, target, value=None):
 
     if target == REVENUE_TARGET:
         best = max(usable, key=lambda r: (r.gamma_so, -r.fee))
-        return FeeRecommendation(
-            target=REVENUE_TARGET,
-            fee=best.fee,
-            max_rate=best.max_rate,
-            avg_rate=best.avg_rate,
-            gamma_so=best.gamma_so,
-            volume=best.volume,
-            interzone=best.interzone,
-        )
+        return _recommendation(REVENUE_TARGET, best)
     if target != MAX_RATE_TARGET:
         raise ValidationError(f"unknown recommendation target {target!r}")
     if value is None:
@@ -139,28 +147,11 @@ def recommend_fee(records, target, value=None):
             f"target rate {value:g} unachievable; sweep covers [{lowest:g}, {max(rates):g}]"
         )
     if rates[0] <= value:
-        first = usable[0]
-        return FeeRecommendation(
-            target=MAX_RATE_TARGET,
-            fee=first.fee,
-            max_rate=first.max_rate,
-            avg_rate=first.avg_rate,
-            gamma_so=first.gamma_so,
-            volume=first.volume,
-            interzone=first.interzone,
-        )
+        return _recommendation(MAX_RATE_TARGET, usable[0])
     for lo, hi in zip(usable, usable[1:]):
         if lo.max_rate > value >= hi.max_rate:
             weight = (lo.max_rate - value) / (lo.max_rate - hi.max_rate)
-            return FeeRecommendation(
-                target=MAX_RATE_TARGET,
-                fee=_interp(lo, hi, weight, lambda r: r.fee),
-                max_rate=value,
-                avg_rate=_interp(lo, hi, weight, lambda r: r.avg_rate),
-                gamma_so=_interp(lo, hi, weight, lambda r: r.gamma_so),
-                volume=_interp(lo, hi, weight, lambda r: r.volume),
-                interzone=_interp(lo, hi, weight, lambda r: r.interzone),
-            )
+            return _recommendation(MAX_RATE_TARGET, lo, hi, weight, max_rate=value)
     raise ValidationError(
         f"target rate {value:g} not bracketed; sweep covers [{lowest:g}, {max(rates):g}]"
     )

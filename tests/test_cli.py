@@ -45,6 +45,18 @@ def test_validation_error_exits_2(tmp_path, free_scenario):
     assert cli("run", str(bad), "--output", str(tmp_path / "out")) == 2
 
 
+def test_removed_solver_key_exits_2(tmp_path, free_scenario, capsys):
+    with open(free_scenario, "a", encoding="utf-8") as handle:
+        handle.write("\n[solver]\nbeta0 = 0.1\n")
+    assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2
+    assert "unknown key 'beta0' in [solver]" in capsys.readouterr().err
+
+
+def test_removed_solver_flag_is_usage_error(tmp_path, free_scenario):
+    assert cli("run", free_scenario, "--beta0", "0.1",
+               "--output", str(tmp_path / "out")) == 1
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert cli("run", str(tmp_path / "absent.ini")) == 3
 
@@ -57,7 +69,10 @@ def test_run_writes_reports(tmp_path, free_scenario):
         assert (out / name).exists(), name
     first = (out / "trades.csv").read_text().splitlines()[0]
     assert first.startswith("# peermarket trades v")
+    residuals = (out / "residuals.csv").read_text().splitlines()
+    assert residuals[:2] == ["# peermarket residuals v2", "iteration,primal_residual"]
     metrics = (out / "metrics.txt").read_text()
+    assert metrics.startswith("# peermarket metrics v2\n")
     assert "market.clearing_price" in metrics
     assert "run.converged = true" in metrics
 

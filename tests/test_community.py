@@ -118,6 +118,39 @@ def test_nonpositive_curvature_rejected():
         ])
 
 
+def test_infinite_curvature_rejected():
+    with pytest.raises(ValidationError, match="coefficient a must be finite"):
+        build_community([
+            (1, 1, PRODUCER, float("inf"), 20.0, 0.0, 0.0, 100.0),
+            (2, 2, CONSUMER, 0.1, 80.0, 0.0, -100.0, 0.0),
+        ])
+
+
+def test_nan_linear_cost_rejected():
+    with pytest.raises(ValidationError, match="coefficient b must be finite"):
+        build_community([
+            (1, 1, PRODUCER, 0.1, float("nan"), 0.0, 0.0, 100.0),
+            (2, 2, CONSUMER, 0.1, 80.0, 0.0, -100.0, 0.0),
+        ])
+
+
+def test_nan_fixed_cost_rejected():
+    with pytest.raises(ValidationError, match="coefficient c must be finite"):
+        build_community([
+            (1, 1, PRODUCER, 0.1, 20.0, 0.0, 0.0, 100.0),
+            (2, 2, CONSUMER, 0.1, 80.0, float("nan"), -100.0, 0.0),
+        ])
+
+
+def test_agents_file_with_nan_cost_rejected(tmp_path):
+    path = tmp_path / "agents.csv"
+    path.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                    "1,1,producer,0.1,nan,0,0,100\n"
+                    "2,2,consumer,0.1,80,0,-100,0\n")
+    with pytest.raises(ValidationError, match="coefficient b must be finite"):
+        load_agents(str(path))
+
+
 def test_explicit_partner_list():
     rows = [
         (1, 1, PRODUCER, 0.1, 20.0, 0.0, 0.0, 100.0),

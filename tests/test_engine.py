@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import REFERENCE_CONFIG, make_pair_community
 from peermarket import (
@@ -22,16 +23,15 @@ from peermarket import (
 )
 from peermarket.engine import (
     MarketState,
-    bounds_update,
-    gradient_step,
-    price_update,
-    trade_update,
+    _bound_vectors,
+    _price_matrix,
+    _trade_matrix,
+    _weight_matrix,
 )
 
 
-def flat_gains(alpha, beta, **kwargs):
-    return SolverConfig(alpha0=alpha, alpha_decay=0.0, beta0=beta, beta_decay=0.0,
-                        **kwargs)
+def flat_gain(alpha, **kwargs):
+    return SolverConfig(alpha0=alpha, alpha_decay=0.0, **kwargs)
 
 
 def pair_state(y=None, P=None, Z=None, k=1):
@@ -47,41 +47,51 @@ def pair_state(y=None, P=None, Z=None, k=1):
     return state
 
 
-def triple_community():
-    return build_community([
+def triple_community_rows():
+    return [
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
         (3, 3, "consumer", 0.1, 75.0, 0.0, -500.0, 0.0),
-    ])
+    ]
+
+
+def triple_community():
+    return build_community(triple_community_rows())
 
 
 def test_price_update_arithmetic():
-    state = pair_state(y=[[0.0, 50.0], [54.0, 0.0]],
+    # the producer offers 10 MW, the consumer takes nothing: the excess
+    # (10 + 0) / 2 = 5 MW at alpha = 0.1 lowers the pair's one price by 0.5
+    state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
                        P=[[0.0, 10.0], [0.0, 0.0]],
-                       Z=[[0.0, 8.0], [-8.0, 0.0]])
-    cfg = flat_gains(alpha=0.1, beta=0.5)
-    assert price_update(state, cfg, 0, 1) == pytest.approx(51.8)
+                       Z=[[0.0, 5.0], [-5.0, 0.0]])
+    y = _price_matrix(state, flat_gain(alpha=0.1))
+    assert y[0, 1] == pytest.approx(49.5)
+    assert y[1, 0] == y[0, 1]
 
 
 def test_price_update_fixed_point():
     state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
                        P=[[0.0, 8.0], [-8.0, 0.0]],
                        Z=[[0.0, 8.0], [-8.0, 0.0]])
-    assert price_update(state, SolverConfig(), 0, 1) == 50.0
+    y = _price_matrix(state, SolverConfig())
+    assert y[0, 1] == 50.0
+    assert y[1, 0] == 50.0
 
 
 def test_price_update_zero_gains_leave_price():
-    state = pair_state(y=[[0.0, 50.0], [54.0, 0.0]],
+    state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
                        P=[[0.0, 10.0], [0.0, 0.0]],
-                       Z=[[0.0, 8.0], [-8.0, 0.0]])
-    cfg = flat_gains(alpha=1e-300, beta=1e-300)
-    assert price_update(state, cfg, 0, 1) == pytest.approx(50.0)
+                       Z=[[0.0, 5.0], [-5.0, 0.0]])
+    y = _price_matrix(state, flat_gain(alpha=1e-300))
+    assert y[0, 1] == pytest.approx(50.0)
+    assert y[1, 0] == pytest.approx(50.0)
 
 
 def test_bounds_update_inactive_stays_zero():
     state = pair_state(Z=[[0.0, 10.0], [-10.0, 0.0]])
-    mu_hi, mu_lo = bounds_update(state, SolverConfig(), 0)
-    assert (mu_hi, mu_lo) == (0.0, 0.0)
+    mu_hi, mu_lo = _bound_vectors(state, SolverConfig())
+    assert (mu_hi[0], mu_lo[0]) == (0.0, 0.0)
 
 
 def test_bounds_update_projects_to_zero():
@@ -93,8 +103,8 @@ def test_bounds_update_projects_to_zero():
     state = MarketState.initial(com)
     state.Z = np.array([[0.0, 6.0], [-6.0, 0.0]])
     state.mu_hi = np.array([1.0, 0.0])
-    mu_hi, _ = bounds_update(state, SolverConfig(rho=0.5), 0)
-    assert mu_hi == 0.0
+    mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
+    assert mu_hi[0] == 0.0
 
 
 def test_bounds_update_activates():
@@ -105,27 +115,28 @@ def test_bounds_update_activates():
     ])
     state = MarketState.initial(com)
     state.Z = np.array([[0.0, 12.0], [-12.0, 0.0]])
-    mu_hi, _ = bounds_update(state, SolverConfig(rho=0.5), 0)
-    assert mu_hi == pytest.approx(1.0)
+    mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
+    assert mu_hi[0] == pytest.approx(1.0)
 
 
 def test_gradient_step_uniform_when_balanced():
     com = triple_community()
     state = MarketState.initial(com)
     state.Z = np.array([[0.0, 5.0, 5.0], [-5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]])
-    assert gradient_step(state, SolverConfig(), 0, 1) == pytest.approx(0.5)
-    assert gradient_step(state, SolverConfig(), 0, 2) == pytest.approx(0.5)
+    weights = _weight_matrix(state, SolverConfig())
+    assert weights[0, 1] == pytest.approx(0.5)
+    assert weights[0, 2] == pytest.approx(0.5)
 
 
 def test_gradient_step_zero_row():
     com = triple_community()
     state = MarketState.initial(com)
-    assert gradient_step(state, SolverConfig(), 0, 1) == pytest.approx(0.5)
+    assert _weight_matrix(state, SolverConfig())[0, 1] == pytest.approx(0.5)
 
 
 def test_gradient_step_single_partner():
     state = pair_state()
-    assert gradient_step(state, SolverConfig(), 0, 1) == 1.0
+    assert _weight_matrix(state, SolverConfig())[0, 1] == 1.0
 
 
 def test_gradient_step_starved_partner_keeps_share():
@@ -135,8 +146,9 @@ def test_gradient_step_starved_partner_keeps_share():
     state = MarketState.initial(com)
     state.Z = np.array([[0.0, 79.0, 0.0], [-79.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     state.k = 4
-    assert gradient_step(state, SolverConfig(), 0, 2) == pytest.approx(40.0 / 159.0)
-    assert gradient_step(state, SolverConfig(), 0, 1) == pytest.approx(119.0 / 159.0)
+    weights = _weight_matrix(state, SolverConfig())
+    assert weights[0, 2] == pytest.approx(40.0 / 159.0)
+    assert weights[0, 1] == pytest.approx(119.0 / 159.0)
 
 
 def test_gradient_step_rows_normalised():
@@ -144,26 +156,29 @@ def test_gradient_step_rows_normalised():
     state = MarketState.initial(com)
     state.Z = np.array([[0.0, 80.0, 3.0], [-80.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
     state.k = 7
-    total = sum(gradient_step(state, SolverConfig(), 0, m) for m in (1, 2))
+    total = _weight_matrix(state, SolverConfig())[0].sum()
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def trade_step(state):
+    proposals, _ = _trade_matrix(state, SolverConfig(), np.zeros((2, 2)))
+    return proposals
 
 
 def test_trade_update_inverse_gradient():
     state = pair_state(y=np.array([[0.0, 50.0], [50.0, 0.0]]))
-    new = trade_update(state, SolverConfig(), np.zeros((2, 2)), 0, 1)
-    assert new == pytest.approx(300.0)
+    assert trade_step(state)[0, 1] == pytest.approx(300.0)
 
 
 def test_trade_update_projects_producer():
     # price below marginal cost at zero output: candidate negative, clipped
     state = pair_state(y=np.array([[0.0, 10.0], [10.0, 0.0]]))
-    assert trade_update(state, SolverConfig(), np.zeros((2, 2)), 0, 1) == 0.0
+    assert trade_step(state)[0, 1] == 0.0
 
 
 def test_trade_update_keeps_consumer_sign():
     state = pair_state(y=np.array([[0.0, 50.0], [50.0, 0.0]]))
-    new = trade_update(state, SolverConfig(), np.zeros((2, 2)), 1, 0)
-    assert new == pytest.approx(-300.0)
+    assert trade_step(state)[1, 0] == pytest.approx(-300.0)
 
 
 def test_coordinator_update():
@@ -244,6 +259,22 @@ def test_gamma_shape_checked(pair_community):
         clear_market(pair_community, np.zeros((3, 3)))
 
 
+def test_nan_gamma_rejected(pair_community):
+    gamma = np.array([[0.0, np.nan], [-5.0, 0.0]])
+    with pytest.raises(ValidationError, match="gamma must be finite"):
+        clear_market(pair_community, gamma)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_unpartnered_agent_clears_without_warnings():
+    # agent 3 has no partner; its weight row must not be computed as 0/0
+    com = build_community(triple_community_rows(), partners=[(1, 2)])
+    result = clear_market(com)
+    assert result.converged
+    assert result.trades[0, 1] == pytest.approx(300.0, abs=0.1)
+    assert np.array_equal(result.trades[2], np.zeros(3))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
         SolverConfig(rho=0.0)
@@ -279,9 +310,10 @@ def test_balance_at_convergence(community, free_result):
 
 
 def test_residual_histories_meet_tolerances(free_result):
-    assert free_result.price_residuals[-1] <= REFERENCE_CONFIG.eps_price
+    assert free_result.kkt_residual <= REFERENCE_CONFIG.eps_price
     assert free_result.primal_residuals[-1] <= REFERENCE_CONFIG.eps_primal
-    assert free_result.iterations == len(free_result.price_residuals)
+    assert free_result.iterations == len(free_result.primal_residuals)
+    assert np.array_equal(free_result.prices, free_result.prices.T)
 
 
 def quad_community():
@@ -332,6 +364,34 @@ def test_fee_monotone_volume(community):
         assert result.converged
         volumes.append(float(result.trades[result.trades > 0].sum()))
     assert all(a >= b for a, b in zip(volumes, volumes[1:]))
+
+
+@st.composite
+def priced_communities(draw):
+    """2-6 agents of both roles with acceptance 7's parameter ranges, a random
+    nonempty set of producer-consumer partnerships and a uniform fee."""
+    n = draw(st.integers(2, 6))
+    n_producers = draw(st.integers(1, n - 1))
+    rows = []
+    for i in range(n):
+        producer = i < n_producers
+        a = draw(st.floats(0.05, 0.1))
+        b = draw(st.floats(15.0, 85.0))
+        cap = draw(st.floats(50.0, 500.0))
+        rows.append((i + 1, i + 1, "producer" if producer else "consumer", a, b, 0.0,
+                     0.0 if producer else -cap, cap if producer else 0.0))
+    pairs = [(p + 1, c + 1) for p in range(n_producers) for c in range(n_producers, n)]
+    partners = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    com = build_community(rows, partners=partners)
+    return com, build_gamma(PolicySpec(UNIQUE, draw(st.floats(0.0, 30.0))), com)
+
+
+@settings(max_examples=25, deadline=None)
+@given(priced_communities())
+def test_prices_stay_exactly_symmetric(case):
+    com, gamma = case
+    result = clear_market(com, gamma, SolverConfig(max_iterations=2000))
+    assert np.array_equal(result.prices, result.prices.T)
 
 
 def test_determinism():
