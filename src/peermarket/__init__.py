@@ -38,7 +38,6 @@ from .engine import (
     MarketState,
     SolverConfig,
     clear_market,
-    coordinator_update,
     kkt_residual,
 )
 from .errors import InfeasibleError, ValidationError
@@ -124,7 +123,6 @@ __all__ = [
     "bus_impedance_matrix",
     "clear_market",
     "congestion_report",
-    "coordinator_update",
     "dc_power_flow",
     "distance_matrix",
     "interzone_exchange",

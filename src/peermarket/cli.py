@@ -388,11 +388,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InfeasibleError as exc:  # a ValidationError too: caught first
+        print(f"error: infeasible market: {exc}", file=sys.stderr)
+        return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InfeasibleError as exc:
-        print(f"error: infeasible market: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

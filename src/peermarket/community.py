@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
@@ -25,6 +25,7 @@ CONSUMER = "consumer"
 AGENTS_HEADER = ["agent_id", "bus", "role", "a", "b", "c", "p_min", "p_max"]
 FORMAT_MARKER = "# peermarket agents v"
 FORMAT_VERSION = 1
+FEASIBILITY_TOL = 1e-6  # MW of aggregate bound violation tolerated
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,11 @@ class Agent:
 
 
 class Community:
-    """Validated agent collection with a fixed canonical ordering (file order)."""
+    """Validated agent collection with a fixed canonical ordering (file order).
+
+    Pair e of the row-major partnered-pair list is agent ``src[e]`` trading
+    with agent ``dst[e]``, and ``rev[e]`` is the pair of the opposite side;
+    every per-pair array of the package uses this order."""
 
     def __init__(self, agents):
         self.agents = tuple(agents)
@@ -53,6 +58,12 @@ class Community:
         self.p_min = np.array([ag.p_min for ag in self.agents])
         self.p_max = np.array([ag.p_max for ag in self.agents])
         self.sign = np.array([1.0 if ag.role == PRODUCER else -1.0 for ag in self.agents])
+        pairs = [(i, j) for i, agent in enumerate(self.agents)
+                 for j in sorted(self._pos[partner] for partner in agent.partners)]
+        self.src, self.dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        # partnerships are symmetric, so sorted by (dst, src) the pairs list
+        # each pair's opposite side
+        self.rev = np.lexsort((self.src, self.dst))
 
     def _validate(self):
         if len(self._pos) != len(self.agents):
@@ -111,10 +122,17 @@ class Community:
         """Boolean (N, N) matrix, True where column agent is a partner of row agent."""
         n = len(self.agents)
         mask = np.zeros((n, n), dtype=bool)
-        for i, agent in enumerate(self.agents):
-            for partner in agent.partners:
-                mask[i, self._pos[partner]] = True
+        mask[self.src, self.dst] = True
         return mask
+
+
+def check_feasible(community):
+    """Raise InfeasibleError unless the aggregate bounds admit a balanced
+    dispatch; partnership lists are not considered."""
+    if community.p_min.sum() > FEASIBILITY_TOL:
+        raise InfeasibleError("minimum supply exceeds what consumers can absorb")
+    if community.p_max.sum() < -FEASIBILITY_TOL:
+        raise InfeasibleError("forced consumption exceeds available capacity")
 
 
 def build_community(rows, partners=None):

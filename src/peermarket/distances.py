@@ -205,20 +205,16 @@ def zone_crossing_matrix(community, network):
     is symmetric even when tie-breaking is direction-dependent."""
     weights = thevenin_line_weights(network)
     agent_buses = [agent.bus for agent in community.agents]
-    mask = community.partner_mask()
     n = len(community.agents)
     counts = np.ones((n, n), dtype=int)
     cache = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (mask[i, j] or mask[j, i]):
-                continue
-            key = tuple(sorted((agent_buses[i], agent_buses[j])))
-            if key not in cache:
-                if key[0] == key[1]:
-                    cache[key] = 1
-                else:
-                    path = shortest_path(network, weights, key[0], key[1])
-                    cache[key] = zones_crossed(path, network)
-            counts[i, j] = counts[j, i] = cache[key]
+    for i, j in zip(community.src, community.dst):
+        key = tuple(sorted((agent_buses[i], agent_buses[j])))
+        if key not in cache:
+            if key[0] == key[1]:
+                cache[key] = 1
+            else:
+                path = shortest_path(network, weights, key[0], key[1])
+                cache[key] = zones_crossed(path, network)
+        counts[i, j] = cache[key]
     return counts

@@ -1,7 +1,7 @@
 """Consensus-based negotiation engine for bilateral electricity trades.
 
-Agents repeatedly exchange price signals with their trading partners while a
-coordinator keeps a skew-symmetric copy of the trade matrix. Every trade
+Agents repeatedly exchange price signals with the agents they may trade with
+while a coordinator keeps a skew-symmetric copy of the trades. Every trade
 clears at one price shared by both sides; the grid fee is added on top of
 it. One iteration advances, in order: bilateral prices, bound multipliers,
 trade quantities, coordinator copy. The loop stops when all of these hold:
@@ -18,6 +18,9 @@ The last two are the first-order optimality conditions of the market, so a
 run flagged converged is at the market optimum up to the tolerances, not
 merely at a point where the updates have become small.
 
+The state lives on the community's edge list, one entry per partnered
+ordered pair; trades, proposals and prices become N x N matrices at the end.
+
 All per-agent updates within one iteration read only the frozen previous
 state (prices and multipliers advance first and are then visible to the
 trade step), so the sweep order never affects the result.
@@ -29,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .community import check_feasible
 from .errors import ValidationError
 
 ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,13 @@ class SolverConfig:
 class MarketState:
     """Mutable negotiation state at iteration ``k``.
 
-    ``P`` holds the agents' trade proposals, ``Z`` the coordinator's
-    skew-symmetric copy, ``y`` the bilateral prices, one per pair and
-    stored symmetrically on both sides. The community and its partner mask
-    ride along so the per-pair update rules are self-contained.
+    ``P`` (the agents' proposals), ``Z`` (the coordinator's skew-symmetric
+    copy) and ``y`` (the bilateral prices) hold one entry per partnered pair
+    in the community's pair order, so ``P[community.rev]`` is the transpose.
+    ``mu_hi`` and ``mu_lo`` are per agent.
     """
 
     community: object
-    partners: np.ndarray
     k: int = 1
     P: np.ndarray = field(default=None)
     Z: np.ndarray = field(default=None)
@@ -90,11 +92,9 @@ class MarketState:
     @classmethod
     def initial(cls, community):
         n = len(community.agents)
-        partners = community.partner_mask()
-        start_price = float(np.mean(community.b))
-        return cls(community=community, partners=partners, k=1,
-                   P=np.zeros((n, n)), Z=np.zeros((n, n)),
-                   y=np.where(partners, start_price, 0.0),
+        pairs = len(community.src)
+        return cls(community=community, k=1, P=np.zeros(pairs), Z=np.zeros(pairs),
+                   y=np.full(pairs, float(np.mean(community.b))),
                    mu_hi=np.zeros(n), mu_lo=np.zeros(n))
 
 
@@ -124,70 +124,81 @@ class ClearingResult:
     kkt_residual: float
 
 
-def _price_matrix(state, config):
+def _price_step(state, config):
     """Innovation step on the one price of every pair: y - alpha_k (P + P^T)/2,
     the excess of the two opposite proposals. It equals P - Z while Z is the
     coordinator copy of P, and the sum commutes, so y stays symmetric bit for
     bit from its symmetric start."""
     alpha = config.alpha0 * state.k ** (-config.alpha_decay)
-    # no partner mask needed: y and P are zero off the partnered pairs and
-    # the step keeps them zero
-    return state.y - (0.5 * alpha) * (state.P + state.P.T)
+    return state.y - (0.5 * alpha) * (state.P + state.P[state.community.rev])
+
+
+def _row_sums(community, values):
+    """Per-agent sums of per-pair values."""
+    return np.bincount(community.src, weights=values, minlength=len(community.agents))
 
 
 def _bound_vectors(state, config):
-    z_row = state.Z.sum(axis=1)
     community = state.community
+    z_row = _row_sums(community, state.Z)
     mu_hi = np.maximum(0.0, state.mu_hi + config.rho * (z_row - community.p_max))
     mu_lo = np.maximum(0.0, state.mu_lo + config.rho * (community.p_min - z_row))
     return mu_hi, mu_lo
 
 
-def _weight_matrix(state, config):
+def _pair_weights(state, config):
+    community = state.community
     volume = np.abs(state.Z)
     # scaled with the agent's own volume, so a partner it does not trade with
     # keeps a share while the agent trades elsewhere and that pair can heal
-    explore = config.tau * state.k ** (-config.delta) * (1.0 + volume.sum(axis=1))
-    raw = np.where(state.partners, volume + explore[:, None], 0.0)
-    # an agent without partners has an all-zero row: the floor keeps it zero
-    # instead of 0/0 and leaves every positive row sum as it is
-    return raw / np.maximum(raw.sum(axis=1, keepdims=True), _TINY)
+    explore = config.tau * state.k ** (-config.delta) * (1.0 + _row_sums(community, volume))
+    raw = volume + explore[community.src]
+    return raw / _row_sums(community, raw)[community.src]
 
 
-def _trade_matrix(state, config, gamma):
+def _trade_step(state, config, gamma):
     """Per-pair gradient step toward each agent's preferred total, projected
     onto the role's trade sign. Expects prices and multipliers already
     advanced to k+1 while Z still holds the k-iterate. Also returns the
     per-pair targets, from which the stop rule judges stationarity."""
     community = state.community
-    weights = _weight_matrix(state, config)
-    z_row = state.Z.sum(axis=1)
-    target = (state.y - gamma - state.mu_hi[:, None] + state.mu_lo[:, None]
-              - community.b[:, None]) / community.a[:, None]
-    candidate = state.Z + weights * (target - z_row[:, None])
-    projected = np.where(community.sign[:, None] > 0,
+    src = community.src
+    weights = _pair_weights(state, config)
+    z_row = _row_sums(community, state.Z)
+    target = (state.y - gamma - state.mu_hi[src] + state.mu_lo[src]
+              - community.b[src]) / community.a[src]
+    candidate = state.Z + weights * (target - z_row[src])
+    projected = np.where(community.sign[src] > 0,
                          np.maximum(0.0, candidate), np.minimum(0.0, candidate))
-    return np.where(state.partners, projected, 0.0), target
+    return projected, target
 
 
-def coordinator_update(P):
+def _coordinator_step(P, rev):
     """Skew-symmetric reconciliation of both sides of every trade."""
-    P = np.asarray(P, dtype=float)
-    return 0.5 * (P - P.T)
+    return 0.5 * (P - P[rev])
 
 
-def _accepted_trades(P):
+def _accepted_trades(P, rev):
     """Volume both sides of each pair accept: the smaller of the two opposite
     proposals, zero where they do not face each other."""
-    facing = P * P.T < 0.0
-    return np.where(facing, np.sign(P) * np.minimum(np.abs(P), np.abs(P.T)), 0.0)
+    opposite = P[rev]
+    facing = P * opposite < 0.0
+    return np.where(facing, np.sign(P) * np.minimum(np.abs(P), np.abs(opposite)), 0.0)
+
+
+def _on_grid(values, community):
+    """Scatter per-pair values into an N x N matrix, zero off the pairs."""
+    grid = np.zeros((len(community.agents),) * 2)
+    grid[community.src, community.dst] = values
+    return grid
 
 
 def clear_market(community, gamma=None, config=None):
     """Run the negotiation to equilibrium.
 
     Non-convergence is reported through the ``converged`` flag with the full
-    primal residual history, never as an exception.
+    primal residual history, never as an exception; aggregate bounds that
+    admit no balanced dispatch raise InfeasibleError.
     """
     config = config if config is not None else SolverConfig()
     n = len(community.agents)
@@ -198,28 +209,29 @@ def clear_market(community, gamma=None, config=None):
         raise ValidationError(f"gamma must be {n}x{n}, got {gamma.shape}")
     if not np.isfinite(gamma).all():
         raise ValidationError("gamma must be finite")
+    check_feasible(community)
+    gamma = gamma[community.src, community.dst]
 
     state = MarketState.initial(community)
     primal_hist = []
     converged = False
     while state.k <= config.max_iterations:
-        state.y = _price_matrix(state, config)
+        state.y = _price_step(state, config)
         state.mu_hi, state.mu_lo = _bound_vectors(state, config)
-        state.P, target = _trade_matrix(state, config, gamma)
-        state.Z = coordinator_update(state.P)
-        primal_hist.append(float(np.abs(state.P - state.Z).max()))
+        state.P, target = _trade_step(state, config, gamma)
+        state.Z = _coordinator_step(state.P, community.rev)
+        primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
                 and _optimal(state, target, community, config)):
             converged = True
             break
         state.k += 1
 
-    trades = _accepted_trades(state.P)
-    net = trades.sum(axis=1)
-    residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo,
-                        community, gamma, state.partners)
+    trades = _on_grid(_accepted_trades(state.P, community.rev), community)
+    residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community, gamma)
     return ClearingResult(
-        trades=trades, proposals=state.P, prices=state.y, net_powers=net,
+        trades=trades, proposals=_on_grid(state.P, community),
+        prices=_on_grid(state.y, community), net_powers=trades.sum(axis=1),
         mu_hi=state.mu_hi, mu_lo=state.mu_lo,
         iterations=min(state.k, config.max_iterations), converged=converged,
         primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
@@ -228,32 +240,33 @@ def clear_market(community, gamma=None, config=None):
 def _optimal(state, target, community, config):
     """Stationarity of the proposals within eps_price and, wherever a bound
     multiplier is positive, that bound tight within eps_primal."""
-    p_row = state.P.sum(axis=1)
-    expr = community.a[:, None] * (p_row[:, None] - target)
-    if _stationarity_max(state.P, expr, community, state.partners) > config.eps_price:
+    src = community.src
+    p_row = _row_sums(community, state.P)
+    expr = community.a[src] * (p_row[src] - target)
+    if _stationarity_max(state.P, expr, community.sign[src]) > config.eps_price:
         return False
-    z_row = state.Z.sum(axis=1)
+    z_row = _row_sums(community, state.Z)
     slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
     return not bound.any() or np.abs(slack[bound]).max() <= config.eps_primal
 
 
-def _kkt_max(proposals, prices, mu_hi, mu_lo, community, gamma, partners):
-    net = proposals.sum(axis=1)
-    marginal = community.a * net + community.b
-    expr = marginal[:, None] - prices + gamma + mu_hi[:, None] - mu_lo[:, None]
-    return _stationarity_max(proposals, expr, community, partners)
+def _kkt_max(proposals, prices, mu_hi, mu_lo, community, gamma):
+    src = community.src
+    marginal = community.a * _row_sums(community, proposals) + community.b
+    expr = marginal[src] - prices + gamma + mu_hi[src] - mu_lo[src]
+    return _stationarity_max(proposals, expr, community.sign[src])
 
 
-def _stationarity_max(proposals, expr, community, partners):
+def _stationarity_max(proposals, expr, sign):
     """Stationarity is judged on each agent's own proposals: the sign
     multiplier is active exactly where the agent's projection clipped."""
     # At a traded pair the expression must vanish. At a zero trade it is
     # absorbed by the sign multiplier, which exists on one side only:
     # producers need expr >= 0 and consumers expr <= 0, so sign * expr >= 0.
-    oriented = community.sign[:, None] * expr
-    worst = (-oriented[partners]).max(initial=0.0)
-    active = (np.abs(proposals) > ACTIVE_TRADE_TOL) & partners
+    oriented = sign * expr
+    worst = (-oriented).max(initial=0.0)
+    active = np.abs(proposals) > ACTIVE_TRADE_TOL
     return float(oriented[active].max(initial=worst)) + 0.0  # turns -0.0 into 0.0
 
 
@@ -261,8 +274,7 @@ def kkt_residual(result, community, gamma=None):
     """Worst stationarity violation of the proposals across all partnered
     pairs, in €/MW. Bound complementarity is not included; the stop rule of
     ``clear_market`` checks it separately."""
-    n = len(community.agents)
-    if gamma is None:
-        gamma = np.zeros((n, n))
-    return _kkt_max(result.proposals, result.prices, result.mu_hi, result.mu_lo,
-                    community, np.asarray(gamma, dtype=float), community.partner_mask())
+    pairs = (community.src, community.dst)
+    gamma = 0.0 if gamma is None else np.asarray(gamma, dtype=float)[pairs]
+    return _kkt_max(result.proposals[pairs], result.prices[pairs], result.mu_hi,
+                    result.mu_lo, community, gamma)

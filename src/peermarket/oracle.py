@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import PRODUCER
+from .community import PRODUCER, check_feasible
 from .errors import InfeasibleError
 
 BISECTION_BALANCE_TOL = 1e-6   # MW
@@ -62,10 +62,7 @@ def bisection_clearing(community, wedge=0.0):
     The residual Sum_n P_n(lam) is nondecreasing in lam (sum of clamped
     affine responses), so the root is unique up to flat segments.
     """
-    if community.p_min.sum() > BISECTION_BALANCE_TOL:
-        raise InfeasibleError("minimum supply exceeds what consumers can absorb")
-    if community.p_max.sum() < -BISECTION_BALANCE_TOL:
-        raise InfeasibleError("forced consumption exceeds available capacity")
+    check_feasible(community)
     side = np.where(community.sign > 0, wedge / 2.0, -wedge / 2.0)
     lo = float(np.min(community.b + community.a * community.p_min + side)) - 1.0
     hi = float(np.max(community.b + community.a * community.p_max + side)) + 1.0
@@ -148,6 +145,7 @@ def qp_reference(community, gamma, max_iterations=20000):
     certificate is the prox-gradient residual at the fixed step 1/L, reported
     in €/MW.
     """
+    check_feasible(community)
     producers = [i for i, ag in enumerate(community.agents) if ag.role == PRODUCER]
     consumers = [i for i, ag in enumerate(community.agents) if ag.role != PRODUCER]
     gamma = np.asarray(gamma, dtype=float)
@@ -160,8 +158,6 @@ def qp_reference(community, gamma, max_iterations=20000):
     allowed = mask[np.ix_(producers, consumers)]
     row_lo, row_hi = community.p_min[producers], community.p_max[producers]
     col_lo, col_hi = -community.p_max[consumers], -community.p_min[consumers]
-    if row_lo.sum() > col_hi.sum() + PROJECTION_TOL or col_lo.sum() > row_hi.sum() + PROJECTION_TOL:
-        raise InfeasibleError("producer and consumer bounds admit no common dispatch")
 
     def objective(t):
         r = t.sum(axis=1)

@@ -58,24 +58,12 @@ def active_trade_count(result, threshold=PLOT_THRESHOLD):
 
 def write_trades(path, community, result, gamma):
     """Per ordered partner pair: MW, price, fee price, perceived price."""
-    mask = community.partner_mask()
+    agents = community.agents
     rows = []
-    for i, agent in enumerate(community.agents):
-        for j, partner in enumerate(community.agents):
-            if not mask[i, j]:
-                continue
-            y = result.prices[i, j]
-            g = gamma[i, j]
-            rows.append(
-                (
-                    str(agent.id),
-                    str(partner.id),
-                    _F(result.trades[i, j]),
-                    _F(y),
-                    _F(g),
-                    _F(perceived_price(y, g)),
-                )
-            )
+    for i, j in zip(community.src, community.dst):
+        y, g = result.prices[i, j], gamma[i, j]
+        rows.append((str(agents[i].id), str(agents[j].id), _F(result.trades[i, j]),
+                     _F(y), _F(g), _F(perceived_price(y, g))))
     _write(path, "trades", ["n", "m", "trade_mw", "price", "gamma", "perceived_price"], rows)
 
 
@@ -101,23 +89,15 @@ def write_congestion(path, report):
 
 def write_trade_edges(path, community, network, result, threshold=PLOT_THRESHOLD):
     """Positive-side trade list for market maps, one row per unordered pair."""
-    mask = community.partner_mask()
+    agents = community.agents
     rows = []
-    for i, agent in enumerate(community.agents):
-        for j, partner in enumerate(community.agents):
-            mw = result.trades[i, j]
-            if mw <= 0.0 or not mask[i, j]:
-                continue
-            crossing = "intra" if network.zone_of(agent.bus) == network.zone_of(partner.bus) else "inter"
-            rows.append(
-                (
-                    str(agent.id),
-                    str(partner.id),
-                    _F(mw),
-                    crossing,
-                    _bool(mw > threshold),
-                )
-            )
+    for i, j in zip(community.src, community.dst):
+        mw = result.trades[i, j]
+        if mw <= 0.0:
+            continue
+        same = network.zone_of(agents[i].bus) == network.zone_of(agents[j].bus)
+        rows.append((str(agents[i].id), str(agents[j].id), _F(mw),
+                     "intra" if same else "inter", _bool(mw > threshold)))
     _write(path, "trade-edges", ["n", "m", "trade_mw", "zone_crossing", "relevant"], rows)
 
 

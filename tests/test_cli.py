@@ -45,6 +45,19 @@ def test_validation_error_exits_2(tmp_path, free_scenario):
     assert cli("run", str(bad), "--output", str(tmp_path / "out")) == 2
 
 
+def test_infeasible_market_exits_2(tmp_path, capsys):
+    # the consumer must buy at least 200 MW from a producer capped at 50 MW
+    agents = tmp_path / "agents.csv"
+    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                      "1,30,producer,0.1,20,0,0,50\n"
+                      "2,1,consumer,0.1,80,0,-500,-200\n")
+    scenario = tmp_path / "case.ini"
+    scenario.write_text(f"[network]\npath = {NETWORK_FILE}\n\n"
+                        f"[agents]\npath = {agents}\n\n[policy]\nkind = free\n")
+    assert cli("run", str(scenario), "--output", str(tmp_path / "out")) == 2
+    assert "infeasible market" in capsys.readouterr().err
+
+
 def test_removed_solver_key_exits_2(tmp_path, free_scenario, capsys):
     with open(free_scenario, "a", encoding="utf-8") as handle:
         handle.write("\n[solver]\nbeta0 = 0.1\n")

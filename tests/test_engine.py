@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import REFERENCE_CONFIG, make_pair_community
 from peermarket import (
+    InfeasibleError,
     PolicySpec,
     SolverConfig,
     UNIQUE,
@@ -18,16 +19,20 @@ from peermarket import (
     build_community,
     build_gamma,
     clear_market,
-    coordinator_update,
     kkt_residual,
 )
 from peermarket.engine import (
     MarketState,
     _bound_vectors,
-    _price_matrix,
-    _trade_matrix,
-    _weight_matrix,
+    _coordinator_step,
+    _pair_weights,
+    _price_step,
+    _trade_step,
 )
+
+# Per-pair arrays follow the community's row-major pair order. The pair
+# community has pairs (1->2, 2->1); the triple community, one producer and
+# two consumers, has pairs (1->2, 1->3, 2->1, 3->1).
 
 
 def flat_gain(alpha, **kwargs):
@@ -62,34 +67,28 @@ def triple_community():
 def test_price_update_arithmetic():
     # the producer offers 10 MW, the consumer takes nothing: the excess
     # (10 + 0) / 2 = 5 MW at alpha = 0.1 lowers the pair's one price by 0.5
-    state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
-                       P=[[0.0, 10.0], [0.0, 0.0]],
-                       Z=[[0.0, 5.0], [-5.0, 0.0]])
-    y = _price_matrix(state, flat_gain(alpha=0.1))
-    assert y[0, 1] == pytest.approx(49.5)
-    assert y[1, 0] == y[0, 1]
+    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0], Z=[5.0, -5.0])
+    y = _price_step(state, flat_gain(alpha=0.1))
+    assert y[0] == pytest.approx(49.5)
+    assert y[1] == y[0]
 
 
 def test_price_update_fixed_point():
-    state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
-                       P=[[0.0, 8.0], [-8.0, 0.0]],
-                       Z=[[0.0, 8.0], [-8.0, 0.0]])
-    y = _price_matrix(state, SolverConfig())
-    assert y[0, 1] == 50.0
-    assert y[1, 0] == 50.0
+    state = pair_state(y=[50.0, 50.0], P=[8.0, -8.0], Z=[8.0, -8.0])
+    y = _price_step(state, SolverConfig())
+    assert y[0] == 50.0
+    assert y[1] == 50.0
 
 
 def test_price_update_zero_gains_leave_price():
-    state = pair_state(y=[[0.0, 50.0], [50.0, 0.0]],
-                       P=[[0.0, 10.0], [0.0, 0.0]],
-                       Z=[[0.0, 5.0], [-5.0, 0.0]])
-    y = _price_matrix(state, flat_gain(alpha=1e-300))
-    assert y[0, 1] == pytest.approx(50.0)
-    assert y[1, 0] == pytest.approx(50.0)
+    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0], Z=[5.0, -5.0])
+    y = _price_step(state, flat_gain(alpha=1e-300))
+    assert y[0] == pytest.approx(50.0)
+    assert y[1] == pytest.approx(50.0)
 
 
 def test_bounds_update_inactive_stays_zero():
-    state = pair_state(Z=[[0.0, 10.0], [-10.0, 0.0]])
+    state = pair_state(Z=[10.0, -10.0])
     mu_hi, mu_lo = _bound_vectors(state, SolverConfig())
     assert (mu_hi[0], mu_lo[0]) == (0.0, 0.0)
 
@@ -101,7 +100,7 @@ def test_bounds_update_projects_to_zero():
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
     ])
     state = MarketState.initial(com)
-    state.Z = np.array([[0.0, 6.0], [-6.0, 0.0]])
+    state.Z = np.array([6.0, -6.0])
     state.mu_hi = np.array([1.0, 0.0])
     mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
     assert mu_hi[0] == 0.0
@@ -114,7 +113,7 @@ def test_bounds_update_activates():
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
     ])
     state = MarketState.initial(com)
-    state.Z = np.array([[0.0, 12.0], [-12.0, 0.0]])
+    state.Z = np.array([12.0, -12.0])
     mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
     assert mu_hi[0] == pytest.approx(1.0)
 
@@ -122,21 +121,21 @@ def test_bounds_update_activates():
 def test_gradient_step_uniform_when_balanced():
     com = triple_community()
     state = MarketState.initial(com)
-    state.Z = np.array([[0.0, 5.0, 5.0], [-5.0, 0.0, 0.0], [-5.0, 0.0, 0.0]])
-    weights = _weight_matrix(state, SolverConfig())
-    assert weights[0, 1] == pytest.approx(0.5)
-    assert weights[0, 2] == pytest.approx(0.5)
+    state.Z = np.array([5.0, 5.0, -5.0, -5.0])
+    weights = _pair_weights(state, SolverConfig())
+    assert weights[0] == pytest.approx(0.5)
+    assert weights[1] == pytest.approx(0.5)
 
 
 def test_gradient_step_zero_row():
     com = triple_community()
     state = MarketState.initial(com)
-    assert _weight_matrix(state, SolverConfig())[0, 1] == pytest.approx(0.5)
+    assert _pair_weights(state, SolverConfig())[0] == pytest.approx(0.5)
 
 
 def test_gradient_step_single_partner():
     state = pair_state()
-    assert _weight_matrix(state, SolverConfig())[0, 1] == 1.0
+    assert _pair_weights(state, SolverConfig())[0] == 1.0
 
 
 def test_gradient_step_starved_partner_keeps_share():
@@ -144,57 +143,61 @@ def test_gradient_step_starved_partner_keeps_share():
     # weights are 79 + 40 = 119 and 0 + 40 = 40 out of 159
     com = triple_community()
     state = MarketState.initial(com)
-    state.Z = np.array([[0.0, 79.0, 0.0], [-79.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    state.Z = np.array([79.0, 0.0, -79.0, 0.0])
     state.k = 4
-    weights = _weight_matrix(state, SolverConfig())
-    assert weights[0, 2] == pytest.approx(40.0 / 159.0)
-    assert weights[0, 1] == pytest.approx(119.0 / 159.0)
+    weights = _pair_weights(state, SolverConfig())
+    assert weights[1] == pytest.approx(40.0 / 159.0)
+    assert weights[0] == pytest.approx(119.0 / 159.0)
 
 
 def test_gradient_step_rows_normalised():
     com = triple_community()
     state = MarketState.initial(com)
-    state.Z = np.array([[0.0, 80.0, 3.0], [-80.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
+    state.Z = np.array([80.0, 3.0, -80.0, -3.0])
     state.k = 7
-    total = _weight_matrix(state, SolverConfig())[0].sum()
+    total = _pair_weights(state, SolverConfig())[com.src == 0].sum()
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def trade_step(state):
-    proposals, _ = _trade_matrix(state, SolverConfig(), np.zeros((2, 2)))
+    proposals, _ = _trade_step(state, SolverConfig(), np.zeros(2))
     return proposals
 
 
 def test_trade_update_inverse_gradient():
-    state = pair_state(y=np.array([[0.0, 50.0], [50.0, 0.0]]))
-    assert trade_step(state)[0, 1] == pytest.approx(300.0)
+    state = pair_state(y=[50.0, 50.0])
+    assert trade_step(state)[0] == pytest.approx(300.0)
 
 
 def test_trade_update_projects_producer():
     # price below marginal cost at zero output: candidate negative, clipped
-    state = pair_state(y=np.array([[0.0, 10.0], [10.0, 0.0]]))
-    assert trade_step(state)[0, 1] == 0.0
+    state = pair_state(y=[10.0, 10.0])
+    assert trade_step(state)[0] == 0.0
 
 
 def test_trade_update_keeps_consumer_sign():
-    state = pair_state(y=np.array([[0.0, 50.0], [50.0, 0.0]]))
-    assert trade_step(state)[1, 0] == pytest.approx(-300.0)
+    state = pair_state(y=[50.0, 50.0])
+    assert trade_step(state)[1] == pytest.approx(-300.0)
+
+
+def coordinator_step(P):
+    return _coordinator_step(np.array(P), make_pair_community().rev)
 
 
 def test_coordinator_update():
-    z = coordinator_update(np.array([[0.0, 10.0], [-6.0, 0.0]]))
-    assert z[0, 1] == 8.0
-    assert z[1, 0] == -8.0
+    z = coordinator_step([10.0, -6.0])
+    assert z[0] == 8.0
+    assert z[1] == -8.0
 
 
 def test_coordinator_fixed_point():
-    p = np.array([[0.0, 8.0], [-8.0, 0.0]])
-    assert np.array_equal(coordinator_update(p), p)
+    p = np.array([8.0, -8.0])
+    assert np.array_equal(coordinator_step(p), p)
 
 
 def test_coordinator_cancels_sign_violation():
-    z = coordinator_update(np.array([[0.0, 10.0], [10.0, 0.0]]))
-    assert z[0, 1] == 0.0
+    z = coordinator_step([10.0, 10.0])
+    assert z[0] == 0.0
 
 
 def starved_pair_community():
@@ -273,6 +276,16 @@ def test_unpartnered_agent_clears_without_warnings():
     assert result.converged
     assert result.trades[0, 1] == pytest.approx(300.0, abs=0.1)
     assert np.array_equal(result.trades[2], np.zeros(3))
+
+
+def test_infeasible_market_raises():
+    # the consumer must buy at least 200 MW from a producer capped at 50 MW
+    com = build_community([
+        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 50.0),
+        (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, -200.0),
+    ])
+    with pytest.raises(InfeasibleError, match="forced consumption"):
+        clear_market(com)
 
 
 def test_solver_config_validation():
@@ -392,6 +405,10 @@ def test_prices_stay_exactly_symmetric(case):
     com, gamma = case
     result = clear_market(com, gamma, SolverConfig(max_iterations=2000))
     assert np.array_equal(result.prices, result.prices.T)
+    # state exists only on partnered pairs, and some agents may have none
+    off = ~com.partner_mask()
+    for matrix in (result.trades, result.proposals, result.prices):
+        assert not matrix[off].any()
 
 
 def test_determinism():
