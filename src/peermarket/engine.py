@@ -29,6 +29,7 @@ trade step), so the sweep order never affects the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +125,24 @@ class ClearingResult:
     kkt_residual: float
 
 
+class _PairTerms(NamedTuple):
+    """Per-pair constants of one market, gathered once per ``clear_market``
+    call: the pair's fee and its side's cost coefficients and trade sign."""
+
+    gamma: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
+    seller: np.ndarray
+
+    @classmethod
+    def gather(cls, community, gamma):
+        src = community.src
+        sign = community.sign[src]
+        return cls(gamma[src, community.dst], community.a[src], community.b[src],
+                   sign, sign > 0)
+
+
 def _price_step(state, config):
     """Innovation step on the one price of every pair: y - alpha_k (P + P^T)/2,
     the excess of the two opposite proposals. It equals P - Z while Z is the
@@ -138,9 +157,9 @@ def _row_sums(community, values):
     return np.bincount(community.src, weights=values, minlength=len(community.agents))
 
 
-def _bound_vectors(state, config):
+def _bound_vectors(state, config, z_row):
+    """Bound multipliers from the per-agent sums ``z_row`` of Z."""
     community = state.community
-    z_row = _row_sums(community, state.Z)
     mu_hi = np.maximum(0.0, state.mu_hi + config.rho * (z_row - community.p_max))
     mu_lo = np.maximum(0.0, state.mu_lo + config.rho * (community.p_min - z_row))
     return mu_hi, mu_lo
@@ -156,20 +175,18 @@ def _pair_weights(state, config):
     return raw / _row_sums(community, raw)[community.src]
 
 
-def _trade_step(state, config, gamma):
+def _trade_step(state, config, pairs, z_row):
     """Per-pair gradient step toward each agent's preferred total, projected
     onto the role's trade sign. Expects prices and multipliers already
-    advanced to k+1 while Z still holds the k-iterate. Also returns the
-    per-pair targets, from which the stop rule judges stationarity."""
-    community = state.community
-    src = community.src
+    advanced to k+1 while Z and its per-agent sums ``z_row`` still hold the
+    k-iterate. Also returns the per-pair targets, from which the stop rule
+    judges stationarity."""
+    src = state.community.src
     weights = _pair_weights(state, config)
-    z_row = _row_sums(community, state.Z)
-    target = (state.y - gamma - state.mu_hi[src] + state.mu_lo[src]
-              - community.b[src]) / community.a[src]
+    target = (state.y - pairs.gamma - state.mu_hi[src] + state.mu_lo[src]
+              - pairs.b) / pairs.a
     candidate = state.Z + weights * (target - z_row[src])
-    projected = np.where(community.sign[src] > 0,
-                         np.maximum(0.0, candidate), np.minimum(0.0, candidate))
+    projected = np.where(pairs.seller, np.maximum(0.0, candidate), np.minimum(0.0, candidate))
     return projected, target
 
 
@@ -210,25 +227,27 @@ def clear_market(community, gamma=None, config=None):
     if not np.isfinite(gamma).all():
         raise ValidationError("gamma must be finite")
     check_feasible(community)
-    gamma = gamma[community.src, community.dst]
+    pairs = _PairTerms.gather(community, gamma)
 
     state = MarketState.initial(community)
+    z_row = _row_sums(community, state.Z)
     primal_hist = []
     converged = False
     while state.k <= config.max_iterations:
         state.y = _price_step(state, config)
-        state.mu_hi, state.mu_lo = _bound_vectors(state, config)
-        state.P, target = _trade_step(state, config, gamma)
+        state.mu_hi, state.mu_lo = _bound_vectors(state, config, z_row)
+        state.P, target = _trade_step(state, config, pairs, z_row)
         state.Z = _coordinator_step(state.P, community.rev)
+        z_row = _row_sums(community, state.Z)
         primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
-                and _optimal(state, target, community, config)):
+                and _optimal(state, target, pairs, config, z_row)):
             converged = True
             break
         state.k += 1
 
     trades = _on_grid(_accepted_trades(state.P, community.rev), community)
-    residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community, gamma)
+    residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community, pairs.gamma)
     return ClearingResult(
         trades=trades, proposals=_on_grid(state.P, community),
         prices=_on_grid(state.y, community), net_powers=trades.sum(axis=1),
@@ -237,15 +256,14 @@ def clear_market(community, gamma=None, config=None):
         primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
 
 
-def _optimal(state, target, community, config):
+def _optimal(state, target, pairs, config, z_row):
     """Stationarity of the proposals within eps_price and, wherever a bound
     multiplier is positive, that bound tight within eps_primal."""
-    src = community.src
+    community = state.community
     p_row = _row_sums(community, state.P)
-    expr = community.a[src] * (p_row[src] - target)
-    if _stationarity_max(state.P, expr, community.sign[src]) > config.eps_price:
+    expr = pairs.a * (p_row[community.src] - target)
+    if _stationarity_max(state.P, expr, pairs.sign) > config.eps_price:
         return False
-    z_row = _row_sums(community, state.Z)
     slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
     return not bound.any() or np.abs(slack[bound]).max() <= config.eps_primal

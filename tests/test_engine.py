@@ -23,10 +23,12 @@ from peermarket import (
 )
 from peermarket.engine import (
     MarketState,
+    _PairTerms,
     _bound_vectors,
     _coordinator_step,
     _pair_weights,
     _price_step,
+    _row_sums,
     _trade_step,
 )
 
@@ -87,9 +89,13 @@ def test_price_update_zero_gains_leave_price():
     assert y[1] == pytest.approx(50.0)
 
 
+def bound_vectors(state, config):
+    return _bound_vectors(state, config, _row_sums(state.community, state.Z))
+
+
 def test_bounds_update_inactive_stays_zero():
     state = pair_state(Z=[10.0, -10.0])
-    mu_hi, mu_lo = _bound_vectors(state, SolverConfig())
+    mu_hi, mu_lo = bound_vectors(state, SolverConfig())
     assert (mu_hi[0], mu_lo[0]) == (0.0, 0.0)
 
 
@@ -102,7 +108,7 @@ def test_bounds_update_projects_to_zero():
     state = MarketState.initial(com)
     state.Z = np.array([6.0, -6.0])
     state.mu_hi = np.array([1.0, 0.0])
-    mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
+    mu_hi, _ = bound_vectors(state, SolverConfig(rho=0.5))
     assert mu_hi[0] == 0.0
 
 
@@ -114,7 +120,7 @@ def test_bounds_update_activates():
     ])
     state = MarketState.initial(com)
     state.Z = np.array([12.0, -12.0])
-    mu_hi, _ = _bound_vectors(state, SolverConfig(rho=0.5))
+    mu_hi, _ = bound_vectors(state, SolverConfig(rho=0.5))
     assert mu_hi[0] == pytest.approx(1.0)
 
 
@@ -160,7 +166,8 @@ def test_gradient_step_rows_normalised():
 
 
 def trade_step(state):
-    proposals, _ = _trade_step(state, SolverConfig(), np.zeros(2))
+    pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
+    proposals, _ = _trade_step(state, SolverConfig(), pairs, _row_sums(state.community, state.Z))
     return proposals
 
 

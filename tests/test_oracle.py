@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_pair_community
 from peermarket import (
@@ -14,11 +15,13 @@ from peermarket import (
     bisection_clearing,
     build_community,
     build_gamma,
+    clear_market,
     market_objective,
     qp_reference,
     social_welfare,
 )
 from peermarket.distances import POWER_TRANSFER
+from peermarket.oracle import PROJECTION_TOL, _project_feasible
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +124,94 @@ def test_infeasible_bounds_rejected_by_qp():
             (1, 1, "producer", 0.1, 20.0, 0.0, 100.0, 200.0),
             (2, 2, "consumer", 0.1, 80.0, 0.0, -50.0, 0.0),
         ]), np.zeros((2, 2)))
+
+
+def test_qp_solves_partnered_market_with_forced_purchase():
+    # consumer 4 must buy at least 100 MW and may buy only from producer 2
+    com = build_community([
+        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
+        (2, 2, "producer", 0.1, 60.0, 0.0, 0.0, 500.0),
+        (3, 3, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
+        (4, 4, "consumer", 0.1, 75.0, 0.0, -500.0, -100.0),
+    ], partners=[(1, 3), (2, 4)])
+    gamma = np.zeros((4, 4))
+    qp = qp_reference(com, gamma)
+    engine = clear_market(com, gamma)
+    assert engine.converged
+    f_engine = market_objective(com, engine.trades, gamma)
+    f_oracle = market_objective(com, qp.trades, gamma)
+    assert f_engine == pytest.approx(-9500.08, abs=0.01)
+    assert abs(f_engine - f_oracle) <= 1e-3 * abs(f_oracle)
+    assert qp.net_powers[3] <= -100.0 + 1e-6
+
+
+@st.composite
+def projection_cases(draw):
+    """A feasible projection by construction: a nonnegative t0 on a partial
+    mask first, then row and column sum boxes around its sums (lower bounds
+    positive unless the slack covers the sum, upper bounds sometimes
+    infinite), and a point v to project."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+
+    def matrix(elements):
+        return np.array(draw(st.lists(elements, min_size=rows * cols,
+                                      max_size=rows * cols))).reshape(rows, cols)
+
+    allowed = matrix(st.booleans())
+    t0 = np.where(allowed, matrix(st.floats(0.0, 500.0)), 0.0)
+    sums = np.concatenate((t0.sum(axis=1), t0.sum(axis=0)))
+    lo = np.array([max(s - draw(st.floats(0.0, 100.0)), 0.0) for s in sums])
+    hi = np.array([s + draw(st.floats(0.0, 100.0)) if draw(st.booleans()) else np.inf
+                   for s in sums])
+    return allowed, t0, lo, hi, matrix(st.floats(-500.0, 500.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(projection_cases())
+def test_projection_meets_its_kkt_conditions(case):
+    allowed, t0, lo, hi, v = case
+    rows = t0.shape[0]
+    t, x = _project_feasible(np.where(allowed, v, -np.inf), lo, hi, np.zeros(len(lo)))
+    assert (t >= 0.0).all()
+    assert not t[~allowed].any()
+    sums = np.concatenate((t.sum(axis=1), t.sum(axis=0)))
+    assert (sums >= lo - PROJECTION_TOL).all()
+    assert (sums <= hi + PROJECTION_TOL).all()
+    # certificate: t = max(v - lam_p - mu_c, 0) on allowed pairs, and a
+    # multiplier is positive only at its upper bound, negative only at its lower
+    expected = np.where(allowed, np.maximum(v - x[:rows, None] - x[None, rows:], 0.0), 0.0)
+    assert np.array_equal(t, expected)
+    assert (sums[x > PROJECTION_TOL] >= hi[x > PROJECTION_TOL] - PROJECTION_TOL).all()
+    assert (sums[x < -PROJECTION_TOL] <= lo[x < -PROJECTION_TOL] + PROJECTION_TOL).all()
+    # a feasible point is its own projection, also warm-started elsewhere
+    again, _ = _project_feasible(np.where(allowed, t0, -np.inf), lo, hi, x)
+    np.testing.assert_allclose(again, t0, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("p_max_2, partners", [
+    (50.0, [(1, 3), (2, 4)]),    # consumer 4 must buy 100 MW, producer 2 sells 50
+    (500.0, [(1, 3), (1, 4)]),   # producer 2 must sell 10 MW and has no partner
+])
+def test_qp_rejects_market_infeasible_through_partnerships(p_max_2, partners):
+    com = build_community([
+        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
+        (2, 2, "producer", 0.1, 60.0, 0.0, 10.0, p_max_2),
+        (3, 3, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
+        (4, 4, "consumer", 0.1, 75.0, 0.0, -500.0, -100.0),
+    ], partners=partners)
+    with pytest.raises(InfeasibleError, match="feasible set is empty"):
+        qp_reference(com, np.zeros((4, 4)))
+
+
+def test_projection_without_feasible_point_raises():
+    # the second row must carry 10 MW but has no allowed pair
+    allowed = np.array([[True, True], [False, False]])
+    v = np.where(allowed, 1.0, -np.inf)
+    lo = np.array([0.0, 10.0, 0.0, 0.0])
+    hi = np.full(4, np.inf)
+    with pytest.raises(InfeasibleError, match="did not converge"):
+        _project_feasible(v, lo, hi, np.zeros(4), max_steps=100)
 
 
 def test_social_welfare_at_rest():
