@@ -105,8 +105,8 @@ def _output_dir(args, scenario=None):
     return directory
 
 
-def _metric_pairs(policy, config, result, community, gamma, summary, report, exchange, slack):
-    fmt = "{:.6f}".format
+def _metric_pairs(policy, config, result, community, gamma, summary, report, exchange):
+    fmt = reports.fmt
     pairs = [
         ("scenario.policy", policy.kind),
         ("scenario.fee", fmt(policy.fee)),
@@ -124,11 +124,10 @@ def _metric_pairs(policy, config, result, community, gamma, summary, report, exc
         ("run.kkt_residual", fmt(result.kkt_residual)),
         ("market.clearing_price", fmt(reports.clearing_price(result))),
         ("market.volume_mw", fmt(volume)),
-        ("market.balance_mw", fmt(float(result.net_powers.sum()) + 0.0)),
+        ("market.balance_mw", fmt(float(result.net_powers.sum()))),
         ("market.active_trades", str(reports.active_trade_count(result))),
         ("market.objective", fmt(market_objective(community, result.trades, gamma))),
         ("market.gamma_so", fmt(total_collected(result.trades, gamma))),
-        ("powerflow.slack", str(slack)),
         ("powerflow.avg_rate", fmt(summary.average)),
         ("powerflow.max_rate", fmt(summary.maximum)),
         ("powerflow.max_line", f"{summary.line[0]}-{summary.line[1]}"),
@@ -141,7 +140,7 @@ def _metric_pairs(policy, config, result, community, gamma, summary, report, exc
 
 
 def _oracle_pairs(policy, community, gamma, result):
-    fmt = "{:.6f}".format
+    fmt = reports.fmt
     if policy.kind in (FREE, UNIQUE):
         oracle = bisection_clearing(community, wedge=policy.fee)
         deltas = np.abs(result.net_powers - oracle.net_powers)
@@ -169,15 +168,14 @@ def cmd_run(args):
     community = load_agents(scenario.agents_path, network=network)
     config = _solver_with_overrides(scenario, args)
     policy = _policy_with_overrides(scenario, args, community)
-    slack = args.slack if args.slack is not None else scenario.slack
     verify = args.verify or scenario.verify
 
     gamma = build_gamma(policy, community, network=network)
     result = clear_market(community, gamma, config)
     injections = net_injections(community, result.net_powers, network)
-    flows = dc_power_flow(network, injections, slack=slack)
+    flows = dc_power_flow(network, injections)
     summary = line_rates(flows)
-    report = congestion_report(flows, network)
+    report = congestion_report(flows)
     exchange = interzone_exchange(community, result.trades, network)
 
     out = _output_dir(args, scenario)
@@ -186,9 +184,7 @@ def cmd_run(args):
     reports.write_trade_edges(os.path.join(out, "trade_edges.csv"), community, network, result)
     reports.write_powerflow(os.path.join(out, "powerflow.csv"), network, flows)
     reports.write_congestion(os.path.join(out, "congestion.csv"), report)
-    pairs = _metric_pairs(
-        policy, config, result, community, gamma, summary, report, exchange, flows.slack
-    )
+    pairs = _metric_pairs(policy, config, result, community, gamma, summary, report, exchange)
     if verify:
         pairs += _oracle_pairs(policy, community, gamma, result)
     reports.write_metrics(os.path.join(out, "metrics.txt"), pairs)
@@ -225,13 +221,10 @@ def cmd_sweep(args, parser):
     if kind == FREE:
         parser.error("sweep needs a fee policy (unique, distance or zonal)")
     policy = PolicySpec(kind, metric=metric)
-    slack = args.slack if args.slack is not None else scenario.slack
 
     fees = _fee_grid(args, parser)
     rate_table = []
-    records = run_sweep(
-        community, network, policy, fees, config=config, slack=slack, rates_out=rate_table
-    )
+    records = run_sweep(community, network, policy, fees, config=config, rates_out=rate_table)
 
     out = _output_dir(args, scenario)
     reports.write_sweep(os.path.join(out, "sweep.csv"), records)
@@ -298,9 +291,9 @@ def cmd_powerflow(args):
     community = load_agents(args.agents, network=network)
     nets = _read_trade_net_powers(args.trades, community)
     injections = net_injections(community, nets, network)
-    flows = dc_power_flow(network, injections, slack=args.slack)
+    flows = dc_power_flow(network, injections)
     summary = line_rates(flows)
-    report = congestion_report(flows, network)
+    report = congestion_report(flows)
 
     out = _output_dir(args)
     reports.write_powerflow(os.path.join(out, "powerflow.csv"), network, flows)
@@ -340,7 +333,6 @@ def build_parser():
     run.add_argument("scenario")
     run.add_argument("--output", default=None, help="report directory")
     run.add_argument("--verify", action="store_true", help="cross-check against reference solvers")
-    run.add_argument("--slack", type=int, default=None, help="slack bus for the flow solve")
     _add_policy_flags(run)
     _add_solver_flags(run)
     run.set_defaults(func=cmd_run)
@@ -351,7 +343,6 @@ def build_parser():
     sweep.add_argument("--fee-max", type=float, required=True)
     sweep.add_argument("--step", type=float, default=1.0, help="grid step, default 1 euro/MW")
     sweep.add_argument("--output", default=None)
-    sweep.add_argument("--slack", type=int, default=None)
     sweep.add_argument("--policy", choices=KINDS, default=None)
     sweep.add_argument("--metric", choices=METRICS, default=None)
     _add_solver_flags(sweep)
@@ -370,7 +361,6 @@ def build_parser():
     flow.add_argument("network")
     flow.add_argument("agents")
     flow.add_argument("trades")
-    flow.add_argument("--slack", type=int, default=None)
     flow.add_argument("--output", default=None)
     flow.set_defaults(func=cmd_powerflow)
 

@@ -135,6 +135,20 @@ def check_feasible(community):
         raise InfeasibleError("forced consumption exceeds available capacity")
 
 
+def validate_gamma(community, gamma):
+    """Fee matrix as an N x N float array; None means no fees. Raise
+    ValidationError on a wrong shape or a non-finite entry."""
+    n = len(community.agents)
+    if gamma is None:
+        return np.zeros((n, n))
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (n, n):
+        raise ValidationError(f"gamma must be {n}x{n}, got {gamma.shape}")
+    if not np.isfinite(gamma).all():
+        raise ValidationError("gamma must be finite")
+    return gamma
+
+
 def build_community(rows, partners=None):
     """Assemble a Community from (id, bus, role, a, b, c, p_min, p_max) tuples.
 

@@ -36,19 +36,21 @@ class DistanceMatrix:
 
 
 def default_reference_bus(network):
-    """Highest-numbered bus; also the default power-flow slack."""
+    """Highest-numbered bus, where the susceptance matrix is grounded.
+
+    Every quantity the package reports is the same for any reference bus;
+    a fixed one keeps the rounding reproducible."""
     return max(bus.id for bus in network.buses)
 
 
-def bus_impedance_matrix(network, reference=None):
-    """Pseudo-inverse of the susceptance matrix, grounded at a reference bus.
+def bus_impedance_matrix(network):
+    """Pseudo-inverse of the susceptance matrix, grounded at the reference bus.
 
     The reference row/column is zero. Only reference-invariant combinations
-    (Thevenin pair impedances Z_ii + Z_jj - 2 Z_ij) should be consumed.
+    (Thevenin pair impedances Z_ii + Z_jj - 2 Z_ij, PTDF differences) should
+    be consumed.
     """
-    if reference is None:
-        reference = default_reference_bus(network)
-    ref = network.bus_index(reference)
+    ref = network.bus_index(default_reference_bus(network))
     n = network.n_buses
     keep = [i for i in range(n) if i != ref]
     B = susceptance_matrix(network)
@@ -136,16 +138,15 @@ def shortest_path(network, weights, from_bus, to_bus):
     return PathResult(tuple(nodes), float(total), tuple(zones))
 
 
-def ptdf_matrix(network, slack=None):
+def ptdf_matrix(network):
     """Power transfer distribution factors, lines by buses.
 
     Entry (l, i) is the MW flow induced on line l (from->to positive) by
-    injecting 1 MW at bus i and withdrawing it at the slack. Slack column is
-    zero.
+    injecting 1 MW at bus i and withdrawing it at the reference bus, whose
+    column is zero. Applied to balanced injections the result is the same
+    for every reference bus.
     """
-    if slack is None:
-        slack = default_reference_bus(network)
-    Z = bus_impedance_matrix(network, reference=slack)
+    Z = bus_impedance_matrix(network)
     H = np.empty((len(network.lines), network.n_buses))
     for pos, line in enumerate(network.lines):
         i = network.bus_index(line.from_bus)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .community import check_feasible
+from .community import check_feasible, validate_gamma
 from .errors import ValidationError
 
 ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
@@ -218,14 +218,7 @@ def clear_market(community, gamma=None, config=None):
     admit no balanced dispatch raise InfeasibleError.
     """
     config = config if config is not None else SolverConfig()
-    n = len(community.agents)
-    if gamma is None:
-        gamma = np.zeros((n, n))
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (n, n):
-        raise ValidationError(f"gamma must be {n}x{n}, got {gamma.shape}")
-    if not np.isfinite(gamma).all():
-        raise ValidationError("gamma must be finite")
+    gamma = validate_gamma(community, gamma)
     check_feasible(community)
     pairs = _PairTerms.gather(community, gamma)
 

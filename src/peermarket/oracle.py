@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import PRODUCER, check_feasible
-from .errors import InfeasibleError
+from .community import PRODUCER, check_feasible, validate_gamma
+from .errors import InfeasibleError, ValidationError
 
 BISECTION_BALANCE_TOL = 1e-6   # MW
 PROJECTION_TOL = 1e-8          # MW
@@ -64,6 +64,8 @@ def bisection_clearing(community, wedge=0.0):
     The residual Sum_n P_n(lam) is nondecreasing in lam (sum of clamped
     affine responses), so the root is unique up to flat segments.
     """
+    if not np.isfinite(wedge):
+        raise ValidationError("wedge must be finite")
     check_feasible(community)
     side = np.where(community.sign > 0, wedge / 2.0, -wedge / 2.0)
     lo = float(np.min(community.b + community.a * community.p_min + side)) - 1.0
@@ -225,10 +227,10 @@ def qp_reference(community, gamma, max_iterations=20000):
     at the fixed step 1/L, reported in €/MW. Each projection starts from the
     multipliers of the previous one.
     """
+    gamma = validate_gamma(community, gamma)
     check_feasible(community)
     producers = [i for i, ag in enumerate(community.agents) if ag.role == PRODUCER]
     consumers = [i for i, ag in enumerate(community.agents) if ag.role != PRODUCER]
-    gamma = np.asarray(gamma, dtype=float)
     a_p = community.a[producers]
     b_p = community.b[producers]
     a_c = community.a[consumers]

@@ -1,24 +1,21 @@
 """DC power flow and grid-side views of a market outcome.
 
-Lossless linearized flow: bus angles solve the susceptance system reduced at
-the slack bus, line flows follow from angle differences. Loading is reported
-as rate = |flow| / capacity, congestion as rates above 1.
+Lossless linearized flow: line flows are the PTDF matrix of the distance
+module applied to the per-bus injections. Balanced injections give flows
+that do not depend on the reference bus, so none is chosen here. Loading is
+reported as rate = |flow| / capacity, congestion as rates above 1.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import default_reference_bus
+from .distances import ptdf_matrix
 from .errors import ValidationError
-from .network import susceptance_matrix
 
 IMBALANCE_TOL = 1e-3  # MW per bus of allowed injection mismatch
-
-_reduced_cache = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -27,7 +24,6 @@ class FlowResult:
 
     flows: np.ndarray
     rates: np.ndarray
-    slack: int
     lines: tuple
 
 
@@ -46,23 +42,11 @@ class ZoneExchangeReport:
     total: float
 
 
-def _reduced_system(network, slack):
-    per_network = _reduced_cache.setdefault(network, {})
-    if slack not in per_network:
-        idx = network.bus_index(slack)
-        b = susceptance_matrix(network)
-        keep = [i for i in range(network.n_buses) if i != idx]
-        per_network[slack] = (idx, keep, b[np.ix_(keep, keep)])
-    return per_network[slack]
-
-
-def dc_power_flow(network, injections, slack=None):
+def dc_power_flow(network, injections):
     """Solve the lossless flow for balanced per-bus injections (MW).
 
-    The slack bus absorbs numerical imbalance; flows do not depend on which
-    bus plays that role as long as injections are balanced.
+    An imbalance within the tolerance is withdrawn at the reference bus.
     """
-    slack = default_reference_bus(network) if slack is None else slack
     injections = np.asarray(injections, dtype=float)
     if injections.shape != (network.n_buses,):
         raise ValidationError(
@@ -72,17 +56,9 @@ def dc_power_flow(network, injections, slack=None):
         raise ValidationError(
             f"injections do not balance: residual {residual:+.6f} MW exceeds "
             f"{IMBALANCE_TOL * network.n_buses:.3f} MW")
-    slack_idx, keep, reduced = _reduced_system(network, slack)
-    theta = np.zeros(network.n_buses)
-    theta[keep] = np.linalg.solve(reduced, injections[keep] / network.base_power)
-    flows = np.empty(len(network.lines))
-    rates = np.empty(len(network.lines))
-    for k, line in enumerate(network.lines):
-        i = network.bus_index(line.from_bus)
-        j = network.bus_index(line.to_bus)
-        flows[k] = (theta[i] - theta[j]) / line.reactance * network.base_power
-        rates[k] = abs(flows[k]) / line.capacity
-    return FlowResult(flows=flows, rates=rates, slack=slack, lines=tuple(network.lines))
+    flows = ptdf_matrix(network) @ injections
+    capacity = np.array([line.capacity for line in network.lines])
+    return FlowResult(flows=flows, rates=np.abs(flows) / capacity, lines=tuple(network.lines))
 
 
 def line_rates(flows):
@@ -94,7 +70,7 @@ def line_rates(flows):
                        line=(line.from_bus, line.to_bus))
 
 
-def congestion_report(flows, network):
+def congestion_report(flows):
     """Lines loaded beyond capacity, worst first."""
     over = [((line.from_bus, line.to_bus), float(rate))
             for line, rate in zip(flows.lines, flows.rates) if rate > 1.0]

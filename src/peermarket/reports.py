@@ -1,10 +1,10 @@
 """Delimited-text report writers and readers.
 
 Every emitted file starts with a ``# peermarket <kind> v<n>`` marker line:
-v2 for ``residuals`` and ``metrics``, v1 for every other kind. Output is
-deterministic: fixed agent and line ordering, fixed float formats, and no
-timestamps or machine-specific content, so identical inputs give
-byte-identical files.
+v3 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
+deterministic: fixed agent and line ordering, fixed float formats (a value
+that rounds to zero never prints a minus sign), and no timestamps or
+machine-specific content, so identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,10 +19,14 @@ from .sweep import SweepRecord
 
 PLOT_THRESHOLD = 1e-2  # MW; below this a trade is noise on a market map
 
-_F = "{:.6f}".format
-
 SWEEP_COLUMNS = ["fee", "converged", "iterations", "volume_mw", "gamma_so",
                  "interzone_mw", "avg_rate", "max_rate", "max_line"]
+
+
+def fmt(value):
+    """Six decimals, with anything that rounds to zero printed as 0.000000."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
 
 
 def _bool(flag):
@@ -51,9 +55,9 @@ def clearing_price(result):
     return float((weights * result.prices).sum() / total)
 
 
-def active_trade_count(result, threshold=PLOT_THRESHOLD):
-    """Unordered pairs trading more than threshold MW."""
-    return int((result.trades > threshold).sum())
+def active_trade_count(result):
+    """Unordered pairs trading more than PLOT_THRESHOLD MW."""
+    return int((result.trades > PLOT_THRESHOLD).sum())
 
 
 def write_trades(path, community, result, gamma):
@@ -62,8 +66,8 @@ def write_trades(path, community, result, gamma):
     rows = []
     for i, j in zip(community.src, community.dst):
         y, g = result.prices[i, j], gamma[i, j]
-        rows.append((str(agents[i].id), str(agents[j].id), _F(result.trades[i, j]),
-                     _F(y), _F(g), _F(perceived_price(y, g))))
+        rows.append((str(agents[i].id), str(agents[j].id), fmt(result.trades[i, j]),
+                     fmt(y), fmt(g), fmt(perceived_price(y, g))))
     _write(path, "trades", ["n", "m", "trade_mw", "price", "gamma", "perceived_price"], rows)
 
 
@@ -78,16 +82,16 @@ def write_residuals(path, result):
 def write_powerflow(path, network, flows):
     rows = []
     for line, flow, rate in zip(network.lines, flows.flows, flows.rates):
-        rows.append((str(line.from_bus), str(line.to_bus), _F(flow), _F(rate)))
+        rows.append((str(line.from_bus), str(line.to_bus), fmt(flow), fmt(rate)))
     _write(path, "powerflow", ["from_bus", "to_bus", "flow_mw", "rate"], rows)
 
 
 def write_congestion(path, report):
-    rows = [(str(a), str(b), _F(rate)) for (a, b), rate in report]
+    rows = [(str(a), str(b), fmt(rate)) for (a, b), rate in report]
     _write(path, "congestion", ["from_bus", "to_bus", "rate"], rows)
 
 
-def write_trade_edges(path, community, network, result, threshold=PLOT_THRESHOLD):
+def write_trade_edges(path, community, network, result):
     """Positive-side trade list for market maps, one row per unordered pair."""
     agents = community.agents
     rows = []
@@ -96,15 +100,15 @@ def write_trade_edges(path, community, network, result, threshold=PLOT_THRESHOLD
         if mw <= 0.0:
             continue
         same = network.zone_of(agents[i].bus) == network.zone_of(agents[j].bus)
-        rows.append((str(agents[i].id), str(agents[j].id), _F(mw),
-                     "intra" if same else "inter", _bool(mw > threshold)))
+        rows.append((str(agents[i].id), str(agents[j].id), fmt(mw),
+                     "intra" if same else "inter", _bool(mw > PLOT_THRESHOLD)))
     _write(path, "trade-edges", ["n", "m", "trade_mw", "zone_crossing", "relevant"], rows)
 
 
 def write_metrics(path, pairs):
     """key = value lines; pairs is an iterable of (key, formatted value)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# peermarket metrics v2\n")
+        handle.write("# peermarket metrics v3\n")
         for key, value in pairs:
             handle.write(f"{key} = {value}\n")
 
@@ -114,14 +118,14 @@ def write_sweep(path, records):
     for r in records:
         rows.append(
             (
-                _F(r.fee),
+                fmt(r.fee),
                 _bool(r.converged),
                 str(r.iterations),
-                _F(r.volume),
-                _F(r.gamma_so),
-                _F(r.interzone),
-                _F(r.avg_rate),
-                _F(r.max_rate),
+                fmt(r.volume),
+                fmt(r.gamma_so),
+                fmt(r.interzone),
+                fmt(r.avg_rate),
+                fmt(r.max_rate),
                 f"{r.max_line[0]}-{r.max_line[1]}",
             )
         )
@@ -171,7 +175,7 @@ def read_sweep(path):
 def write_fee_curves(path, records):
     """Fee against average rate, maximum rate and operator revenue."""
     rows = [
-        (_F(r.fee), _F(r.avg_rate), _F(r.max_rate), _F(r.gamma_so)) for r in records
+        (fmt(r.fee), fmt(r.avg_rate), fmt(r.max_rate), fmt(r.gamma_so)) for r in records
     ]
     _write(path, "fee-curves", ["fee", "avg_rate", "max_rate", "gamma_so"], rows)
 
@@ -181,7 +185,7 @@ def write_rate_distribution(path, network, rate_table):
     rows = []
     for fee, rates in rate_table:
         for line, rate in zip(network.lines, rates):
-            rows.append((_F(fee), str(line.from_bus), str(line.to_bus), _F(rate)))
+            rows.append((fmt(fee), str(line.from_bus), str(line.to_bus), fmt(rate)))
     _write(path, "rate-distribution", ["fee", "from_bus", "to_bus", "rate"], rows)
 
 
@@ -189,5 +193,5 @@ def write_distance_matrix(path, community, matrix, metric):
     ids = [str(agent.id) for agent in community.agents]
     rows = []
     for aid, row in zip(ids, matrix):
-        rows.append((aid, *[_F(v) for v in row]))
+        rows.append((aid, *[fmt(v) for v in row]))
     _write(path, f"distances-{metric}", ["agent", *ids], rows)

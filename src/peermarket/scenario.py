@@ -7,7 +7,6 @@ Grammar (version 1)::
 
     [network]
     path = new_england.net
-    slack = 39            ; optional, defaults to the network reference bus
 
     [agents]
     path = new_england_agents.csv
@@ -47,7 +46,7 @@ FORMAT_VERSION = 1
 _SOLVER_FIELDS = {f.name: f for f in dataclasses.fields(SolverConfig)}
 _SECTIONS = {
     "scenario": {"version"},
-    "network": {"path", "slack"},
+    "network": {"path"},
     "agents": {"path"},
     "policy": {"kind", "fee", "metric", "zone_fees"},
     "solver": set(_SOLVER_FIELDS),
@@ -61,7 +60,6 @@ class Scenario:
     agents_path: str
     policy: PolicySpec
     solver: SolverConfig
-    slack: int | None = None
     output_dir: str | None = None
     verify: bool = False
 
@@ -118,14 +116,6 @@ def load_scenario(path):
         if not os.path.isfile(resolved):
             raise ValidationError(f"{path}: referenced file not found: {resolved}")
 
-    slack = None
-    if parser.has_option("network", "slack"):
-        raw = parser.get("network", "slack")
-        try:
-            slack = int(raw)
-        except ValueError:
-            raise ValidationError(f"[network] slack = {raw!r} is not a bus id") from None
-
     if not parser.has_option("policy", "kind"):
         raise ValidationError(f"{path}: missing [policy] kind")
     kind = parser.get("policy", "kind").strip()
@@ -170,7 +160,6 @@ def load_scenario(path):
         agents_path=agents_path,
         policy=policy,
         solver=solver,
-        slack=slack,
         output_dir=output_dir,
         verify=verify,
     )

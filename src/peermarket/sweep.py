@@ -47,7 +47,7 @@ class FeeRecommendation:
     interzone: float
 
 
-def run_sweep(community, network, policy, fees, config=None, slack=None, rates_out=None):
+def run_sweep(community, network, policy, fees, config=None, rates_out=None):
     """One independent clear_market per fee; records in grid order.
 
     policy fixes the kind and metric, its fee field is ignored in favor of
@@ -80,7 +80,7 @@ def run_sweep(community, network, policy, fees, config=None, slack=None, rates_o
         )
         result = clear_market(community, gamma, config)
         injections = net_injections(community, result.net_powers, network)
-        flows = dc_power_flow(network, injections, slack=slack)
+        flows = dc_power_flow(network, injections)
         summary = line_rates(flows)
         if rates_out is not None:
             rates_out.append((fee, flows.rates))

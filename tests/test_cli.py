@@ -70,6 +70,26 @@ def test_removed_solver_flag_is_usage_error(tmp_path, free_scenario):
                "--output", str(tmp_path / "out")) == 1
 
 
+def test_removed_slack_key_exits_2(tmp_path, free_scenario, capsys):
+    with open(free_scenario, encoding="utf-8") as handle:
+        body = handle.read()
+    with open(free_scenario, "w", encoding="utf-8") as handle:
+        handle.write(body.replace("[network]\n", "[network]\nslack = 39\n"))
+    assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2
+    assert "unknown key 'slack' in [network]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "powerflow"])
+def test_removed_slack_flag_is_usage_error(tmp_path, free_scenario, command):
+    args = {
+        "run": [free_scenario, "--max-iterations", "1"],
+        "sweep": [free_scenario, "--policy", "unique", "--fee-min", "0", "--fee-max", "0",
+                  "--max-iterations", "1"],
+        "powerflow": [NETWORK_FILE, AGENTS_FILE, str(tmp_path / "trades.csv")],
+    }[command]
+    assert cli(command, *args, "--slack", "39", "--output", str(tmp_path / "out")) == 1
+
+
 def test_missing_scenario_exits_3(tmp_path):
     assert cli("run", str(tmp_path / "absent.ini")) == 3
 
@@ -85,7 +105,7 @@ def test_run_writes_reports(tmp_path, free_scenario):
     residuals = (out / "residuals.csv").read_text().splitlines()
     assert residuals[:2] == ["# peermarket residuals v2", "iteration,primal_residual"]
     metrics = (out / "metrics.txt").read_text()
-    assert metrics.startswith("# peermarket metrics v2\n")
+    assert metrics.startswith("# peermarket metrics v3\n")
     assert "market.clearing_price" in metrics
     assert "run.converged = true" in metrics
 

@@ -12,6 +12,7 @@ from peermarket import (
     DistanceMatrix,
     InfeasibleError,
     PolicySpec,
+    ValidationError,
     bisection_clearing,
     build_community,
     build_gamma,
@@ -116,6 +117,23 @@ def test_distance_charges_favour_close_partners():
     near = qp.trades[0, 2] + qp.trades[1, 3]
     far = qp.trades[0, 3] + qp.trades[1, 2]
     assert near >= far
+
+
+@pytest.mark.parametrize("solve, message", [
+    (lambda com: qp_reference(com, np.zeros((3, 3))), "gamma must be 2x2"),
+    (lambda com: qp_reference(com, np.array([[0.0, np.nan], [-5.0, 0.0]])),
+     "gamma must be finite"),
+    (lambda com: bisection_clearing(com, wedge=np.nan), "wedge must be finite"),
+], ids=["qp_shape", "qp_nan", "bisection_nan"])
+def test_oracles_reject_bad_gamma(solve, message):
+    with pytest.raises(ValidationError, match=message):
+        solve(make_pair_community())
+
+
+def test_qp_reads_missing_gamma_as_no_fees():
+    com = make_pair_community()
+    np.testing.assert_array_equal(qp_reference(com, None).trades,
+                                  qp_reference(com, np.zeros((2, 2))).trades)
 
 
 def test_infeasible_bounds_rejected_by_qp():

@@ -49,7 +49,6 @@ def test_minimal_scenario(tmp_path):
     assert scenario.policy.kind == FREE
     assert scenario.policy.fee == 0.0
     assert scenario.solver.max_iterations == 20000
-    assert scenario.slack is None
     assert scenario.verify is False
 
 
