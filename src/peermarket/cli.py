@@ -20,7 +20,6 @@ from .community import load_agents
 from .distances import (
     METRICS,
     POWER_TRANSFER,
-    THEVENIN,
     distance_matrix,
     power_transfer_distance,
     shortest_path,
@@ -37,7 +36,6 @@ from .policies import (
     KINDS,
     PolicySpec,
     UNIQUE,
-    ZONAL,
     build_gamma,
     total_collected,
 )

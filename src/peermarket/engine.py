@@ -41,21 +41,26 @@ ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Gains and stopping rules for the negotiation loop.
+    """Exploration and stopping rules for the negotiation loop.
 
-    The price gain decays as alpha0*k^-alpha_decay. rho steps the bound
-    multipliers. tau and delta set the exploration term of the per-partner
-    gradient weights: each partner of agent n gets tau*k^-delta*(1 + sum_m
-    |Z_nm|) on top of its own |Z_nm|, so a partner with no volume keeps a
-    share that does not shrink as agent n trades more elsewhere. eps_price
-    bounds the stationarity of the proposals (€/MW); eps_primal bounds the
+    No gain is a setting: pair (n, m) steps its price by h = 2 a_n a_m /
+    (a_n + a_m) times its excess (P_nm + P_mn)/2. The sides respond by 1/a_n
+    and 1/a_m MW per €/MW, so the excess moves by 1/h: a Newton step. Agent
+    n's bound multipliers step by a_n. Both scale with the cost unit, so no
+    result depends on it. The trade step moves only a weighted share of each
+    response, so larger gains overshoot: on acceptance 7's 200 communities
+    (4,145 iterations in all) a price gain of 2h stalls 15 at the cap and
+    0.5h none (9,023 iterations); a bound gain of 4 a_n stalls 14, 2 a_n none.
+
+    tau and delta set the exploration term of the per-partner gradient
+    weights: each partner of agent n gets tau*k^-delta*(1 + sum_m |Z_nm|) on
+    top of its own |Z_nm|, so a partner with no volume keeps a share that
+    does not shrink as agent n trades more elsewhere. eps_price bounds the
+    stationarity of the proposals (€/MW); eps_primal bounds the
     agent-coordinator disagreement and the slack of every bound whose
     multiplier is positive (MW).
     """
 
-    alpha0: float = 0.01
-    alpha_decay: float = 0.05
-    rho: float = 0.01
     tau: float = 1.0
     delta: float = 0.5
     max_iterations: int = 20000
@@ -63,13 +68,11 @@ class SolverConfig:
     eps_primal: float = 1e-2  # MW
 
     def __post_init__(self):
-        for name in ("alpha0", "rho", "tau", "delta", "eps_price", "eps_primal"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"solver parameter {name} must be positive")
-        if self.alpha_decay < 0:
-            raise ValidationError("solver parameter alpha_decay must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be at least 1")
+        for name in ("tau", "delta", "eps_price", "eps_primal"):
+            if not 0.0 < getattr(self, name) < float("inf"):  # also rejects NaN
+                raise ValidationError(f"solver parameter {name} must be positive and finite")
+        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+            raise ValidationError("max_iterations must be a whole number of at least 1")
 
 
 @dataclass
@@ -127,29 +130,29 @@ class ClearingResult:
 
 class _PairTerms(NamedTuple):
     """Per-pair constants of one market, gathered once per ``clear_market``
-    call: the pair's fee and its side's cost coefficients and trade sign."""
+    call: the fee, the side's cost coefficients and sign, and the price gain."""
 
     gamma: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    sign: np.ndarray
     seller: np.ndarray
+    gain: np.ndarray
 
     @classmethod
     def gather(cls, community, gamma):
-        src = community.src
-        sign = community.sign[src]
-        return cls(gamma[src, community.dst], community.a[src], community.b[src],
-                   sign, sign > 0)
+        src, dst = community.src, community.dst
+        a, other = community.a[src], community.a[dst]
+        # a*other and a+other commute, so both sides of a pair get the same gain
+        return cls(gamma[src, dst], a, community.b[src], community.sign[src] > 0,
+                   2.0 * a * other / (a + other))
 
 
-def _price_step(state, config):
-    """Innovation step on the one price of every pair: y - alpha_k (P + P^T)/2,
-    the excess of the two opposite proposals. It equals P - Z while Z is the
-    coordinator copy of P, and the sum commutes, so y stays symmetric bit for
-    bit from its symmetric start."""
-    alpha = config.alpha0 * state.k ** (-config.alpha_decay)
-    return state.y - (0.5 * alpha) * (state.P + state.P[state.community.rev])
+def _price_step(state, pairs):
+    """Newton step on the one price of every pair: y - h (P + P^T)/2, the
+    excess of the two opposite proposals times the pair's gain. The excess
+    equals P - Z while Z is the coordinator copy of P, and the sum commutes,
+    so y stays symmetric bit for bit from its symmetric start."""
+    return state.y - (0.5 * pairs.gain) * (state.P + state.P[state.community.rev])
 
 
 def _row_sums(community, values):
@@ -157,11 +160,12 @@ def _row_sums(community, values):
     return np.bincount(community.src, weights=values, minlength=len(community.agents))
 
 
-def _bound_vectors(state, config, z_row):
-    """Bound multipliers from the per-agent sums ``z_row`` of Z."""
+def _bound_vectors(state, z_row):
+    """Bound multipliers from the per-agent sums ``z_row`` of Z, each agent
+    stepping by its own curvature a."""
     community = state.community
-    mu_hi = np.maximum(0.0, state.mu_hi + config.rho * (z_row - community.p_max))
-    mu_lo = np.maximum(0.0, state.mu_lo + config.rho * (community.p_min - z_row))
+    mu_hi = np.maximum(0.0, state.mu_hi + community.a * (z_row - community.p_max))
+    mu_lo = np.maximum(0.0, state.mu_lo + community.a * (community.p_min - z_row))
     return mu_hi, mu_lo
 
 
@@ -179,15 +183,13 @@ def _trade_step(state, config, pairs, z_row):
     """Per-pair gradient step toward each agent's preferred total, projected
     onto the role's trade sign. Expects prices and multipliers already
     advanced to k+1 while Z and its per-agent sums ``z_row`` still hold the
-    k-iterate. Also returns the per-pair targets, from which the stop rule
-    judges stationarity."""
+    k-iterate."""
     src = state.community.src
     weights = _pair_weights(state, config)
     target = (state.y - pairs.gamma - state.mu_hi[src] + state.mu_lo[src]
               - pairs.b) / pairs.a
     candidate = state.Z + weights * (target - z_row[src])
-    projected = np.where(pairs.seller, np.maximum(0.0, candidate), np.minimum(0.0, candidate))
-    return projected, target
+    return np.where(pairs.seller, np.maximum(0.0, candidate), np.minimum(0.0, candidate))
 
 
 def _coordinator_step(P, rev):
@@ -227,14 +229,14 @@ def clear_market(community, gamma=None, config=None):
     primal_hist = []
     converged = False
     while state.k <= config.max_iterations:
-        state.y = _price_step(state, config)
-        state.mu_hi, state.mu_lo = _bound_vectors(state, config, z_row)
-        state.P, target = _trade_step(state, config, pairs, z_row)
+        state.y = _price_step(state, pairs)
+        state.mu_hi, state.mu_lo = _bound_vectors(state, z_row)
+        state.P = _trade_step(state, config, pairs, z_row)
         state.Z = _coordinator_step(state.P, community.rev)
         z_row = _row_sums(community, state.Z)
         primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
-                and _optimal(state, target, pairs, config, z_row)):
+                and _optimal(state, pairs, config, z_row)):
             converged = True
             break
         state.k += 1
@@ -249,13 +251,12 @@ def clear_market(community, gamma=None, config=None):
         primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
 
 
-def _optimal(state, target, pairs, config, z_row):
+def _optimal(state, pairs, config, z_row):
     """Stationarity of the proposals within eps_price and, wherever a bound
     multiplier is positive, that bound tight within eps_primal."""
     community = state.community
-    p_row = _row_sums(community, state.P)
-    expr = pairs.a * (p_row[community.src] - target)
-    if _stationarity_max(state.P, expr, pairs.sign) > config.eps_price:
+    if _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community,
+                pairs.gamma) > config.eps_price:
         return False
     slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0

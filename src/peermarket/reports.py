@@ -1,7 +1,7 @@
 """Delimited-text report writers and readers.
 
 Every emitted file starts with a ``# peermarket <kind> v<n>`` marker line:
-v3 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
+v4 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
 deterministic: fixed agent and line ordering, fixed float formats (a value
 that rounds to zero never prints a minus sign), and no timestamps or
 machine-specific content, so identical inputs give byte-identical files.
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .community import CONSUMER
 from .engine import ACTIVE_TRADE_TOL
 from .errors import ValidationError
 from .policies import perceived_price
@@ -108,7 +107,7 @@ def write_trade_edges(path, community, network, result):
 def write_metrics(path, pairs):
     """key = value lines; pairs is an iterable of (key, formatted value)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# peermarket metrics v3\n")
+        handle.write("# peermarket metrics v4\n")
         for key, value in pairs:
             handle.write(f"{key} = {value}\n")
 

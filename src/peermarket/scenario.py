@@ -43,13 +43,12 @@ from .policies import DISTANCE, PolicySpec, ZONAL
 
 FORMAT_VERSION = 1
 
-_SOLVER_FIELDS = {f.name: f for f in dataclasses.fields(SolverConfig)}
 _SECTIONS = {
     "scenario": {"version"},
     "network": {"path"},
     "agents": {"path"},
     "policy": {"kind", "fee", "metric", "zone_fees"},
-    "solver": set(_SOLVER_FIELDS),
+    "solver": {f.name for f in dataclasses.fields(SolverConfig)},
     "output": {"dir", "verify"},
 }
 
@@ -140,6 +139,8 @@ def load_scenario(path):
         for key, raw in parser["solver"].items():
             value = _float("solver", key, raw)
             if key == "max_iterations":
+                if not value.is_integer():  # also rejects inf and NaN
+                    raise ValidationError(f"[solver] max_iterations = {raw!r} is not a whole number")
                 value = int(value)
             solver_kwargs[key] = value
     solver = SolverConfig(**solver_kwargs)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distances import distance_matrix, zone_crossing_matrix
 from .engine import SolverConfig, clear_market
 from .errors import ValidationError

@@ -70,6 +70,26 @@ def test_removed_solver_flag_is_usage_error(tmp_path, free_scenario):
                "--output", str(tmp_path / "out")) == 1
 
 
+@pytest.mark.parametrize("key", ["alpha0", "alpha_decay", "rho"])
+def test_derived_gain_key_exits_2(tmp_path, free_scenario, capsys, key):
+    # the price and bound gains follow from the cost curves; no key sets them
+    with open(free_scenario, "a", encoding="utf-8") as handle:
+        handle.write(f"\n[solver]\n{key} = 0.01\n")
+    assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2
+    assert f"unknown key '{key}' in [solver]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--alpha0", "--alpha-decay", "--rho"])
+def test_derived_gain_flag_is_usage_error(tmp_path, free_scenario, flag):
+    assert cli("run", free_scenario, flag, "0.01", "--output", str(tmp_path / "out")) == 1
+
+
+def test_non_finite_solver_flag_exits_2(tmp_path, free_scenario, capsys):
+    # otherwise a NaN tau runs to the cap and prints "clearing price nan"
+    assert cli("run", free_scenario, "--tau", "nan", "--output", str(tmp_path / "out")) == 2
+    assert "tau must be positive and finite" in capsys.readouterr().err
+
+
 def test_removed_slack_key_exits_2(tmp_path, free_scenario, capsys):
     with open(free_scenario, encoding="utf-8") as handle:
         body = handle.read()
@@ -105,7 +125,7 @@ def test_run_writes_reports(tmp_path, free_scenario):
     residuals = (out / "residuals.csv").read_text().splitlines()
     assert residuals[:2] == ["# peermarket residuals v2", "iteration,primal_residual"]
     metrics = (out / "metrics.txt").read_text()
-    assert metrics.startswith("# peermarket metrics v3\n")
+    assert metrics.startswith("# peermarket metrics v4\n")
     assert "market.clearing_price" in metrics
     assert "run.converged = true" in metrics
 

@@ -37,10 +37,6 @@ from peermarket.engine import (
 # two consumers, has pairs (1->2, 1->3, 2->1, 3->1).
 
 
-def flat_gain(alpha, **kwargs):
-    return SolverConfig(alpha0=alpha, alpha_decay=0.0, **kwargs)
-
-
 def pair_state(y=None, P=None, Z=None, k=1):
     com = make_pair_community()
     state = MarketState.initial(com)
@@ -66,61 +62,76 @@ def triple_community():
     return build_community(triple_community_rows())
 
 
+def price_step(state):
+    return _price_step(state, _PairTerms.gather(state.community, np.zeros((2, 2))))
+
+
 def test_price_update_arithmetic():
     # the producer offers 10 MW, the consumer takes nothing: the excess
-    # (10 + 0) / 2 = 5 MW at alpha = 0.1 lowers the pair's one price by 0.5
+    # (10 + 0) / 2 = 5 MW at the gain h(0.1, 0.1) = 0.1 lowers the pair's
+    # one price by 0.5
     state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0], Z=[5.0, -5.0])
-    y = _price_step(state, flat_gain(alpha=0.1))
+    y = price_step(state)
     assert y[0] == pytest.approx(49.5)
     assert y[1] == y[0]
 
 
 def test_price_update_fixed_point():
     state = pair_state(y=[50.0, 50.0], P=[8.0, -8.0], Z=[8.0, -8.0])
-    y = _price_step(state, SolverConfig())
+    y = price_step(state)
     assert y[0] == 50.0
     assert y[1] == 50.0
 
 
-def test_price_update_zero_gains_leave_price():
-    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0], Z=[5.0, -5.0])
-    y = _price_step(state, flat_gain(alpha=1e-300))
-    assert y[0] == pytest.approx(50.0)
-    assert y[1] == pytest.approx(50.0)
+def test_price_gain_is_harmonic_mean_of_curvatures():
+    # h(0.1, 0.3) = 2 * 0.03 / 0.4 = 0.15: a 5 MW excess lowers the price by
+    # 0.75, and 1/h = 1/0.1 / 2 + 1/0.3 / 2 is how far the excess moves per
+    # EUR/MW when both sides respond with 1/a
+    com = build_community([
+        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
+        (2, 2, "consumer", 0.3, 80.0, 0.0, -500.0, 0.0),
+    ])
+    state = MarketState.initial(com)
+    state.y = np.array([50.0, 50.0])
+    state.P = np.array([10.0, 0.0])
+    y = price_step(state)
+    assert y[0] == pytest.approx(49.25)
+    assert y[1] == y[0]
 
 
-def bound_vectors(state, config):
-    return _bound_vectors(state, config, _row_sums(state.community, state.Z))
+def bound_vectors(state):
+    return _bound_vectors(state, _row_sums(state.community, state.Z))
 
 
 def test_bounds_update_inactive_stays_zero():
     state = pair_state(Z=[10.0, -10.0])
-    mu_hi, mu_lo = bound_vectors(state, SolverConfig())
+    mu_hi, mu_lo = bound_vectors(state)
     assert (mu_hi[0], mu_lo[0]) == (0.0, 0.0)
 
 
 def test_bounds_update_projects_to_zero():
-    # mu_hi = 1, rho*(Z_n - p_max) = -2 pushes the multiplier through zero
+    # mu_hi = 1, a*(Z_n - p_max) = -2 at a = 0.5 pushes the multiplier
+    # through zero
     com = build_community([
-        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 10.0),
+        (1, 1, "producer", 0.5, 20.0, 0.0, 0.0, 10.0),
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
     ])
     state = MarketState.initial(com)
     state.Z = np.array([6.0, -6.0])
     state.mu_hi = np.array([1.0, 0.0])
-    mu_hi, _ = bound_vectors(state, SolverConfig(rho=0.5))
+    mu_hi, _ = bound_vectors(state)
     assert mu_hi[0] == 0.0
 
 
 def test_bounds_update_activates():
-    # Z_n - p_max = +2 at rho = 0.5 raises mu_hi from rest to 1.0
+    # Z_n - p_max = +2 at a = 0.5 raises mu_hi from rest to 1.0
     com = build_community([
-        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 10.0),
+        (1, 1, "producer", 0.5, 20.0, 0.0, 0.0, 10.0),
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
     ])
     state = MarketState.initial(com)
     state.Z = np.array([12.0, -12.0])
-    mu_hi, _ = bound_vectors(state, SolverConfig(rho=0.5))
+    mu_hi, _ = bound_vectors(state)
     assert mu_hi[0] == pytest.approx(1.0)
 
 
@@ -167,8 +178,7 @@ def test_gradient_step_rows_normalised():
 
 def trade_step(state):
     pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
-    proposals, _ = _trade_step(state, SolverConfig(), pairs, _row_sums(state.community, state.Z))
-    return proposals
+    return _trade_step(state, SolverConfig(), pairs, _row_sums(state.community, state.Z))
 
 
 def test_trade_update_inverse_gradient():
@@ -297,11 +307,26 @@ def test_infeasible_market_raises():
 
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
-        SolverConfig(rho=0.0)
+        SolverConfig(tau=0.0)
     with pytest.raises(ValidationError):
-        SolverConfig(alpha_decay=-0.1)
+        SolverConfig(delta=-0.1)
     with pytest.raises(ValidationError):
         SolverConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("name", ["tau", "delta", "eps_price", "eps_primal"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite(name, value):
+    # NaN compares false with everything, so a "<= 0" test alone lets it
+    # through, and eps_price = NaN would stop the first iteration as converged
+    with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+        SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [1.5, float("inf"), float("nan")])
+def test_solver_config_rejects_fractional_iteration_cap(value):
+    with pytest.raises(ValidationError, match="max_iterations must be a whole number"):
+        SolverConfig(max_iterations=value)
 
 
 def test_non_convergence_is_reported_not_raised():
@@ -387,9 +412,10 @@ def test_fee_monotone_volume(community):
 
 
 @st.composite
-def priced_communities(draw):
+def priced_markets(draw):
     """2-6 agents of both roles with acceptance 7's parameter ranges, a random
-    nonempty set of producer-consumer partnerships and a uniform fee."""
+    nonempty set of producer-consumer partnerships and a uniform fee, as the
+    rows, partner list and fee that build the market."""
     n = draw(st.integers(2, 6))
     n_producers = draw(st.integers(1, n - 1))
     rows = []
@@ -402,20 +428,43 @@ def priced_communities(draw):
                      0.0 if producer else -cap, cap if producer else 0.0))
     pairs = [(p + 1, c + 1) for p in range(n_producers) for c in range(n_producers, n)]
     partners = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    com = build_community(rows, partners=partners)
-    return com, build_gamma(PolicySpec(UNIQUE, draw(st.floats(0.0, 30.0))), com)
+    return rows, partners, draw(st.floats(0.0, 30.0))
+
+
+def build_market(rows, partners, fee, scale=1.0):
+    """The market with every cost coefficient and the fee multiplied by scale."""
+    scaled = [(n, bus, role, scale * a, scale * b, scale * c, p_min, p_max)
+              for n, bus, role, a, b, c, p_min, p_max in rows]
+    com = build_community(scaled, partners=partners)
+    return com, build_gamma(PolicySpec(UNIQUE, scale * fee), com)
 
 
 @settings(max_examples=25, deadline=None)
-@given(priced_communities())
-def test_prices_stay_exactly_symmetric(case):
-    com, gamma = case
+@given(priced_markets())
+def test_prices_stay_exactly_symmetric(market):
+    com, gamma = build_market(*market)
     result = clear_market(com, gamma, SolverConfig(max_iterations=2000))
     assert np.array_equal(result.prices, result.prices.T)
     # state exists only on partnered pairs, and some agents may have none
     off = ~com.partner_mask()
     for matrix in (result.trades, result.proposals, result.prices):
         assert not matrix[off].any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(priced_markets(), st.integers(-3, 3).filter(bool))
+def test_currency_unit_does_not_change_the_run(market, j):
+    # the gains and stop rule scale with the cost unit, so restating every
+    # price in a unit 2^j times smaller is the same run, bit for bit
+    scale = 2.0 ** j
+    config = SolverConfig(max_iterations=5000)
+    base = clear_market(*build_market(*market), config)
+    scaled = clear_market(*build_market(*market, scale=scale),
+                          dataclasses.replace(config, eps_price=scale * config.eps_price))
+    assert scaled.iterations == base.iterations
+    assert scaled.converged == base.converged
+    assert np.array_equal(scaled.trades, base.trades)
+    assert np.array_equal(scaled.prices, scale * base.prices)
 
 
 def test_determinism():

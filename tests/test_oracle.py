@@ -145,7 +145,9 @@ def test_infeasible_bounds_rejected_by_qp():
 
 
 def test_qp_solves_partnered_market_with_forced_purchase():
-    # consumer 4 must buy at least 100 MW and may buy only from producer 2
+    # consumer 4 must buy at least 100 MW and may buy only from producer 2.
+    # The optimum is -9500 exactly: pair 1-3 clears 300 MW at price 50, and
+    # consumer 4's forced 100 MW come from producer 2.
     com = build_community([
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
         (2, 2, "producer", 0.1, 60.0, 0.0, 0.0, 500.0),
@@ -158,7 +160,8 @@ def test_qp_solves_partnered_market_with_forced_purchase():
     assert engine.converged
     f_engine = market_objective(com, engine.trades, gamma)
     f_oracle = market_objective(com, qp.trades, gamma)
-    assert f_engine == pytest.approx(-9500.08, abs=0.01)
+    assert f_oracle == pytest.approx(-9500.0, abs=1e-6)
+    assert f_engine == pytest.approx(-9500.00, abs=0.01)
     assert abs(f_engine - f_oracle) <= 1e-3 * abs(f_oracle)
     assert qp.net_powers[3] <= -100.0 + 1e-6
 

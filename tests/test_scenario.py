@@ -98,10 +98,18 @@ def test_version_checked(tmp_path):
 
 
 def test_solver_overrides(tmp_path):
-    body = MINIMAL + "\n[solver]\nrho = 0.02\nmax_iterations = 500\n"
+    body = MINIMAL + "\n[solver]\ntau = 0.5\nmax_iterations = 5e2\n"
     scenario = load_scenario(write_scenario(tmp_path, body))
-    assert scenario.solver.rho == 0.02
+    assert scenario.solver.tau == 0.5
     assert scenario.solver.max_iterations == 500
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "1.5"])
+def test_iteration_cap_must_be_whole(tmp_path, raw):
+    # refused, never truncated, and never left to int() to raise
+    body = MINIMAL + f"\n[solver]\nmax_iterations = {raw}\n"
+    with pytest.raises(ValidationError, match="max_iterations = '.*' is not a whole number"):
+        load_scenario(write_scenario(tmp_path, body))
 
 
 def test_uniform_zone_fees_accepted(tmp_path):
