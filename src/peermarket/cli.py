@@ -258,36 +258,10 @@ def cmd_distances(args):
     return 0
 
 
-def _read_trade_net_powers(path, community):
-    by_id = {agent.id: i for i, agent in enumerate(community.agents)}
-    nets = np.zeros(len(community.agents))
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith("# peermarket trades v"):
-            raise ValidationError(f"{path}: not a peermarket trades file")
-        header = handle.readline().strip().split(",")
-        if header[:3] != ["n", "m", "trade_mw"]:
-            raise ValidationError(f"{path}: unexpected trades columns {header}")
-        for lineno, raw in enumerate(handle, start=3):
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            parts = raw.split(",")
-            try:
-                n = int(parts[0])
-                mw = float(parts[2])
-            except (IndexError, ValueError):
-                raise ValidationError(f"{path}:{lineno}: malformed trade row") from None
-            if n not in by_id:
-                raise ValidationError(f"{path}:{lineno}: unknown agent id {n}")
-            nets[by_id[n]] += mw
-    return nets
-
-
 def cmd_powerflow(args):
     network = load_network(args.network)
     community = load_agents(args.agents, network=network)
-    nets = _read_trade_net_powers(args.trades, community)
+    nets = reports.read_trade_net_powers(args.trades, community)
     injections = net_injections(community, nets, network)
     flows = dc_power_flow(network, injections)
     summary = line_rates(flows)

@@ -11,8 +11,8 @@ trade quantities, coordinator copy. The loop stops when all of these hold:
   agent's marginal cost plus fee and bound multipliers meets the pair's
   price, and at a zero trade the price lies on the side where the agent
   would not trade;
-* wherever a bound multiplier is positive, that bound is tight within
-  ``eps_primal``.
+* every bound holds within ``eps_primal``, and wherever its multiplier is
+  positive it is tight within ``eps_primal``.
 
 The last two are the first-order optimality conditions of the market, so a
 run flagged converged is at the market optimum up to the tolerances, not
@@ -41,7 +41,7 @@ ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Exploration and stopping rules for the negotiation loop.
+    """Stopping rules for the negotiation loop.
 
     No gain is a setting: pair (n, m) steps its price by h = 2 a_n a_m /
     (a_n + a_m) times its excess (P_nm + P_mn)/2. The sides respond by 1/a_n
@@ -49,26 +49,23 @@ class SolverConfig:
     n's bound multipliers step by a_n. Both scale with the cost unit, so no
     result depends on it. The trade step moves only a weighted share of each
     response, so larger gains overshoot: on acceptance 7's 200 communities
-    (4,145 iterations in all) a price gain of 2h stalls 15 at the cap and
-    0.5h none (9,023 iterations); a bound gain of 4 a_n stalls 14, 2 a_n none.
+    (3,850 iterations in all) a price gain of 2h stalls 13 at the cap and
+    0.5h none (6,373 iterations); a bound gain of 4 a_n stalls 11, 2 a_n none.
 
-    tau and delta set the exploration term of the per-partner gradient
-    weights: each partner of agent n gets tau*k^-delta*(1 + sum_m |Z_nm|) on
-    top of its own |Z_nm|, so a partner with no volume keeps a share that
-    does not shrink as agent n trades more elsewhere. eps_price bounds the
+    Nor is the exploration share of the trade step: each partner of agent n
+    gets 1 + sum_m |Z_nm| MW on top of its own |Z_nm| (see
+    ``_pair_weights``), whatever the iteration. eps_price bounds the
     stationarity of the proposals (€/MW); eps_primal bounds the
-    agent-coordinator disagreement and the slack of every bound whose
-    multiplier is positive (MW).
+    agent-coordinator disagreement, the excess over every bound and the
+    slack of every bound whose multiplier is positive (MW).
     """
 
-    tau: float = 1.0
-    delta: float = 0.5
     max_iterations: int = 20000
     eps_price: float = 1e-3   # €/MW
     eps_primal: float = 1e-2  # MW
 
     def __post_init__(self):
-        for name in ("tau", "delta", "eps_price", "eps_primal"):
+        for name in ("eps_price", "eps_primal"):
             if not 0.0 < getattr(self, name) < float("inf"):  # also rejects NaN
                 raise ValidationError(f"solver parameter {name} must be positive and finite")
         if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
@@ -77,7 +74,7 @@ class SolverConfig:
 
 @dataclass
 class MarketState:
-    """Mutable negotiation state at iteration ``k``.
+    """Mutable negotiation state.
 
     ``P`` (the agents' proposals), ``Z`` (the coordinator's skew-symmetric
     copy) and ``y`` (the bilateral prices) hold one entry per partnered pair
@@ -86,7 +83,6 @@ class MarketState:
     """
 
     community: object
-    k: int = 1
     P: np.ndarray = field(default=None)
     Z: np.ndarray = field(default=None)
     y: np.ndarray = field(default=None)
@@ -97,7 +93,7 @@ class MarketState:
     def initial(cls, community):
         n = len(community.agents)
         pairs = len(community.src)
-        return cls(community=community, k=1, P=np.zeros(pairs), Z=np.zeros(pairs),
+        return cls(community=community, P=np.zeros(pairs), Z=np.zeros(pairs),
                    y=np.full(pairs, float(np.mean(community.b))),
                    mu_hi=np.zeros(n), mu_lo=np.zeros(n))
 
@@ -169,23 +165,27 @@ def _bound_vectors(state, z_row):
     return mu_hi, mu_lo
 
 
-def _pair_weights(state, config):
+def _pair_weights(state):
+    """Share of agent n's adjustment given to each of its pairs: the pair's
+    own volume |Z_nm| plus an exploration share 1 + sum_m |Z_nm| MW, so a
+    partner it does not trade with keeps a share while the agent trades
+    elsewhere and that pair can heal. Costs and bounds are exact, so there
+    is no noise to average out and the share does not decay with the
+    iteration count: the step depends on the negotiation state alone."""
     community = state.community
     volume = np.abs(state.Z)
-    # scaled with the agent's own volume, so a partner it does not trade with
-    # keeps a share while the agent trades elsewhere and that pair can heal
-    explore = config.tau * state.k ** (-config.delta) * (1.0 + _row_sums(community, volume))
+    explore = 1.0 + _row_sums(community, volume)
     raw = volume + explore[community.src]
     return raw / _row_sums(community, raw)[community.src]
 
 
-def _trade_step(state, config, pairs, z_row):
+def _trade_step(state, pairs, z_row):
     """Per-pair gradient step toward each agent's preferred total, projected
     onto the role's trade sign. Expects prices and multipliers already
-    advanced to k+1 while Z and its per-agent sums ``z_row`` still hold the
-    k-iterate."""
+    advanced to the next iterate while Z and its per-agent sums ``z_row``
+    still hold the current one."""
     src = state.community.src
-    weights = _pair_weights(state, config)
+    weights = _pair_weights(state)
     target = (state.y - pairs.gamma - state.mu_hi[src] + state.mu_lo[src]
               - pairs.b) / pairs.a
     candidate = state.Z + weights * (target - z_row[src])
@@ -228,10 +228,10 @@ def clear_market(community, gamma=None, config=None):
     z_row = _row_sums(community, state.Z)
     primal_hist = []
     converged = False
-    while state.k <= config.max_iterations:
+    for iterations in range(1, config.max_iterations + 1):
         state.y = _price_step(state, pairs)
         state.mu_hi, state.mu_lo = _bound_vectors(state, z_row)
-        state.P = _trade_step(state, config, pairs, z_row)
+        state.P = _trade_step(state, pairs, z_row)
         state.Z = _coordinator_step(state.P, community.rev)
         z_row = _row_sums(community, state.Z)
         primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
@@ -239,7 +239,6 @@ def clear_market(community, gamma=None, config=None):
                 and _optimal(state, pairs, config, z_row)):
             converged = True
             break
-        state.k += 1
 
     trades = _on_grid(_accepted_trades(state.P, community.rev), community)
     residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community, pairs.gamma)
@@ -247,20 +246,22 @@ def clear_market(community, gamma=None, config=None):
         trades=trades, proposals=_on_grid(state.P, community),
         prices=_on_grid(state.y, community), net_powers=trades.sum(axis=1),
         mu_hi=state.mu_hi, mu_lo=state.mu_lo,
-        iterations=min(state.k, config.max_iterations), converged=converged,
+        iterations=iterations, converged=converged,
         primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
 
 
 def _optimal(state, pairs, config, z_row):
-    """Stationarity of the proposals within eps_price and, wherever a bound
-    multiplier is positive, that bound tight within eps_primal."""
+    """Stationarity of the proposals within eps_price, every bound held
+    within eps_primal and, wherever a bound multiplier is positive, that
+    bound tight within eps_primal."""
     community = state.community
     if _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community,
                 pairs.gamma) > config.eps_price:
         return False
     slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
-    return not bound.any() or np.abs(slack[bound]).max() <= config.eps_primal
+    return (slack.max() <= config.eps_primal
+            and (-slack[bound]).max(initial=0.0) <= config.eps_primal)
 
 
 def _kkt_max(proposals, prices, mu_hi, mu_lo, community, gamma):

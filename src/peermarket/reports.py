@@ -1,7 +1,7 @@
 """Delimited-text report writers and readers.
 
 Every emitted file starts with a ``# peermarket <kind> v<n>`` marker line:
-v4 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
+v5 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
 deterministic: fixed agent and line ordering, fixed float formats (a value
 that rounds to zero never prints a minus sign), and no timestamps or
 machine-specific content, so identical inputs give byte-identical files.
@@ -18,6 +18,9 @@ from .sweep import SweepRecord
 
 PLOT_THRESHOLD = 1e-2  # MW; below this a trade is noise on a market map
 
+_VERSIONS = {"metrics": 5, "residuals": 2}  # every other kind is at v1
+
+TRADE_COLUMNS = ["n", "m", "trade_mw", "price", "gamma", "perceived_price"]
 SWEEP_COLUMNS = ["fee", "converged", "iterations", "volume_mw", "gamma_so",
                  "interzone_mw", "avg_rate", "max_rate", "max_line"]
 
@@ -32,12 +35,38 @@ def _bool(flag):
     return "true" if flag else "false"
 
 
-def _write(path, kind, header, rows, version=1):
+def _marker(kind):
+    return f"# peermarket {kind} v{_VERSIONS.get(kind, 1)}"
+
+
+def _write(path, kind, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# peermarket {kind} v{version}\n")
+        handle.write(_marker(kind) + "\n")
         handle.write(",".join(header) + "\n")
         for row in rows:
             handle.write(",".join(row) + "\n")
+
+
+def _read(path, kind, header):
+    """Yield ``(line number, fields)`` for each data row of a file that
+    ``_write`` emitted with this kind and header. The marker must match
+    exactly, version included, and every row must have one field per
+    column; blank and ``#`` lines are skipped."""
+    with open(path, encoding="utf-8") as handle:
+        if handle.readline().rstrip("\r\n") != _marker(kind):
+            raise ValidationError(f"{path}: not a peermarket {kind} file "
+                                  f"(expected {_marker(kind)!r})")
+        columns = handle.readline().strip().split(",")
+        if columns != header:
+            raise ValidationError(f"{path}: unexpected {kind} columns {columns}")
+        for lineno, raw in enumerate(handle, start=3):
+            raw = raw.strip()
+            if not raw or raw.startswith("#"):
+                continue
+            fields = raw.split(",")
+            if len(fields) != len(header):
+                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+            yield lineno, fields
 
 
 def clearing_price(result):
@@ -67,7 +96,23 @@ def write_trades(path, community, result, gamma):
         y, g = result.prices[i, j], gamma[i, j]
         rows.append((str(agents[i].id), str(agents[j].id), fmt(result.trades[i, j]),
                      fmt(y), fmt(g), fmt(perceived_price(y, g))))
-    _write(path, "trades", ["n", "m", "trade_mw", "price", "gamma", "perceived_price"], rows)
+    _write(path, "trades", TRADE_COLUMNS, rows)
+
+
+def read_trade_net_powers(path, community):
+    """Per-agent net power, in community order, from a trades file."""
+    by_id = {agent.id: i for i, agent in enumerate(community.agents)}
+    nets = np.zeros(len(community.agents))
+    for lineno, parts in _read(path, "trades", TRADE_COLUMNS):
+        try:
+            n = int(parts[0])
+            mw = float(parts[2])
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: malformed trade row") from None
+        if n not in by_id:
+            raise ValidationError(f"{path}:{lineno}: unknown agent id {n}")
+        nets[by_id[n]] += mw
+    return nets
 
 
 def write_residuals(path, result):
@@ -75,7 +120,7 @@ def write_residuals(path, result):
         (str(k + 1), "{:.9f}".format(primal))
         for k, primal in enumerate(result.primal_residuals)
     ]
-    _write(path, "residuals", ["iteration", "primal_residual"], rows, version=2)
+    _write(path, "residuals", ["iteration", "primal_residual"], rows)
 
 
 def write_powerflow(path, network, flows):
@@ -107,7 +152,7 @@ def write_trade_edges(path, community, network, result):
 def write_metrics(path, pairs):
     """key = value lines; pairs is an iterable of (key, formatted value)."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("# peermarket metrics v4\n")
+        handle.write(_marker("metrics") + "\n")
         for key, value in pairs:
             handle.write(f"{key} = {value}\n")
 
@@ -134,38 +179,24 @@ def write_sweep(path, records):
 def read_sweep(path):
     """Parse a sweep table back into SweepRecords."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline()
-        if not first.startswith("# peermarket sweep v"):
-            raise ValidationError(f"{path}: not a peermarket sweep file")
-        header = handle.readline().strip().split(",")
-        if header != SWEEP_COLUMNS:
-            raise ValidationError(f"{path}: unexpected sweep columns {header}")
-        for lineno, raw in enumerate(handle, start=3):
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            parts = raw.split(",")
-            if len(parts) != len(SWEEP_COLUMNS):
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {len(SWEEP_COLUMNS)} fields")
-            try:
-                a, b = parts[8].split("-")
-                records.append(
-                    SweepRecord(
-                        fee=float(parts[0]),
-                        converged=parts[1] == "true",
-                        iterations=int(parts[2]),
-                        volume=float(parts[3]),
-                        gamma_so=float(parts[4]),
-                        interzone=float(parts[5]),
-                        avg_rate=float(parts[6]),
-                        max_rate=float(parts[7]),
-                        max_line=(int(a), int(b)),
-                    )
+    for lineno, parts in _read(path, "sweep", SWEEP_COLUMNS):
+        try:
+            a, b = parts[8].split("-")
+            records.append(
+                SweepRecord(
+                    fee=float(parts[0]),
+                    converged=parts[1] == "true",
+                    iterations=int(parts[2]),
+                    volume=float(parts[3]),
+                    gamma_so=float(parts[4]),
+                    interzone=float(parts[5]),
+                    avg_rate=float(parts[6]),
+                    max_rate=float(parts[7]),
+                    max_line=(int(a), int(b)),
                 )
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: malformed sweep row") from None
+            )
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: malformed sweep row") from None
     if not records:
         raise ValidationError(f"{path}: empty sweep table")
     return records

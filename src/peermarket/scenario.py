@@ -15,7 +15,6 @@ Grammar (version 1)::
     kind = free           ; free | unique | distance | zonal
     fee = 0.0             ; optional, euro/MW (/distance unit for distance)
     metric = power_transfer  ; optional, distance policy only
-    zone_fees = 5, 5, 5, 5   ; optional, zonal only; must be uniform
 
     [solver]              ; optional, any SolverConfig field
     eps_primal = 1e-3
@@ -26,8 +25,7 @@ Grammar (version 1)::
 
 Relative paths are resolved against the scenario file's directory. Unknown
 sections or keys are rejected so a typo cannot silently fall back to a
-default. Per-zone fee lists are parsed for forward compatibility but only
-uniform vectors are accepted; differentiated zonal fees are out of scope.
+default.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from dataclasses import dataclass
 
 from .engine import SolverConfig
 from .errors import ValidationError
-from .policies import DISTANCE, PolicySpec, ZONAL
+from .policies import DISTANCE, PolicySpec
 
 FORMAT_VERSION = 1
 
@@ -47,7 +45,7 @@ _SECTIONS = {
     "scenario": {"version"},
     "network": {"path"},
     "agents": {"path"},
-    "policy": {"kind", "fee", "metric", "zone_fees"},
+    "policy": {"kind", "fee", "metric"},
     "solver": {f.name for f in dataclasses.fields(SolverConfig)},
     "output": {"dir", "verify"},
 }
@@ -68,17 +66,6 @@ def _float(section, key, raw):
         return float(raw)
     except ValueError:
         raise ValidationError(f"[{section}] {key} = {raw!r} is not a number") from None
-
-
-def _zone_fees(raw):
-    fees = [_float("policy", "zone_fees", part) for part in raw.split(",")]
-    if any(f < 0 for f in fees):
-        raise ValidationError("[policy] zone_fees must be nonnegative")
-    if len(set(fees)) > 1:
-        raise ValidationError(
-            "[policy] zone_fees must be uniform; differentiated zonal fees are not supported"
-        )
-    return fees[0]
 
 
 def load_scenario(path):
@@ -121,12 +108,6 @@ def load_scenario(path):
     fee = 0.0
     if parser.has_option("policy", "fee"):
         fee = _float("policy", "fee", parser.get("policy", "fee"))
-    if parser.has_option("policy", "zone_fees"):
-        if kind != ZONAL:
-            raise ValidationError("[policy] zone_fees only applies to the zonal policy")
-        if parser.has_option("policy", "fee"):
-            raise ValidationError("[policy] give either fee or zone_fees, not both")
-        fee = _zone_fees(parser.get("policy", "zone_fees"))
     spec_kwargs = {"kind": kind, "fee": fee}
     if parser.has_option("policy", "metric"):
         if kind != DISTANCE:

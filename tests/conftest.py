@@ -21,7 +21,7 @@ NETWORK_FILE = str(DATA_DIR / "new_england.net")
 AGENTS_FILE = str(DATA_DIR / "new_england_agents.csv")
 
 # Tighter than the solver defaults so the clearing price is resolved well
-# below the oracle-comparison tolerances; converges in about 13k iterations.
+# below the oracle-comparison tolerances; converges in a few hundred iterations.
 REFERENCE_CONFIG = SolverConfig(eps_primal=1e-3, max_iterations=60000)
 
 

@@ -79,15 +79,34 @@ def test_derived_gain_key_exits_2(tmp_path, free_scenario, capsys, key):
     assert f"unknown key '{key}' in [solver]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tau", "delta"])
+def test_exploration_schedule_key_exits_2(tmp_path, free_scenario, capsys, key):
+    # the exploration share of the trade step does not decay; no key sets it
+    with open(free_scenario, "a", encoding="utf-8") as handle:
+        handle.write(f"\n[solver]\n{key} = 0.5\n")
+    assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2
+    assert f"unknown key {key!r} in [solver]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("flag", ["--tau", "--delta"])
+def test_exploration_schedule_flag_is_usage_error(tmp_path, free_scenario, command, flag):
+    args = [free_scenario, "--max-iterations", "1"]
+    if command == "sweep":
+        args += ["--policy", "unique", "--fee-min", "0", "--fee-max", "0"]
+    assert cli(command, *args, flag, "0.5", "--output", str(tmp_path / "out")) == 1
+
+
 @pytest.mark.parametrize("flag", ["--alpha0", "--alpha-decay", "--rho"])
 def test_derived_gain_flag_is_usage_error(tmp_path, free_scenario, flag):
     assert cli("run", free_scenario, flag, "0.01", "--output", str(tmp_path / "out")) == 1
 
 
 def test_non_finite_solver_flag_exits_2(tmp_path, free_scenario, capsys):
-    # otherwise a NaN tau runs to the cap and prints "clearing price nan"
-    assert cli("run", free_scenario, "--tau", "nan", "--output", str(tmp_path / "out")) == 2
-    assert "tau must be positive and finite" in capsys.readouterr().err
+    # otherwise eps_price = NaN stops the first iteration as converged
+    assert cli("run", free_scenario, "--eps-price", "nan",
+               "--output", str(tmp_path / "out")) == 2
+    assert "eps_price must be positive and finite" in capsys.readouterr().err
 
 
 def test_removed_slack_key_exits_2(tmp_path, free_scenario, capsys):
@@ -125,7 +144,7 @@ def test_run_writes_reports(tmp_path, free_scenario):
     residuals = (out / "residuals.csv").read_text().splitlines()
     assert residuals[:2] == ["# peermarket residuals v2", "iteration,primal_residual"]
     metrics = (out / "metrics.txt").read_text()
-    assert metrics.startswith("# peermarket metrics v4\n")
+    assert metrics.startswith("# peermarket metrics v5\n")
     assert "market.clearing_price" in metrics
     assert "run.converged = true" in metrics
 
@@ -244,6 +263,16 @@ def test_powerflow_rejects_foreign_file(tmp_path):
     bogus = tmp_path / "trades.csv"
     bogus.write_text("n,m,trade_mw\n1,2,10\n")
     assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, str(bogus)) == 2
+
+
+def test_powerflow_rejects_unknown_trades_version(tmp_path, capsys):
+    future = tmp_path / "trades.csv"
+    future.write_text("# peermarket trades v9\n"
+                      "n,m,trade_mw,price,gamma,perceived_price\n"
+                      "1,2,10,50,0,50\n")
+    assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, str(future),
+               "--output", str(tmp_path / "out")) == 2
+    assert "peermarket trades v1" in capsys.readouterr().err
 
 
 def test_sweep_and_recommend(tmp_path):

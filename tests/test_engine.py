@@ -20,6 +20,8 @@ from peermarket import (
     build_gamma,
     clear_market,
     kkt_residual,
+    market_objective,
+    qp_reference,
 )
 from peermarket.engine import (
     MarketState,
@@ -37,10 +39,9 @@ from peermarket.engine import (
 # two consumers, has pairs (1->2, 1->3, 2->1, 3->1).
 
 
-def pair_state(y=None, P=None, Z=None, k=1):
+def pair_state(y=None, P=None, Z=None):
     com = make_pair_community()
     state = MarketState.initial(com)
-    state.k = k
     if y is not None:
         state.y = np.asarray(y, dtype=float)
     if P is not None:
@@ -139,7 +140,7 @@ def test_gradient_step_uniform_when_balanced():
     com = triple_community()
     state = MarketState.initial(com)
     state.Z = np.array([5.0, 5.0, -5.0, -5.0])
-    weights = _pair_weights(state, SolverConfig())
+    weights = _pair_weights(state)
     assert weights[0] == pytest.approx(0.5)
     assert weights[1] == pytest.approx(0.5)
 
@@ -147,38 +148,36 @@ def test_gradient_step_uniform_when_balanced():
 def test_gradient_step_zero_row():
     com = triple_community()
     state = MarketState.initial(com)
-    assert _pair_weights(state, SolverConfig())[0] == pytest.approx(0.5)
+    assert _pair_weights(state)[0] == pytest.approx(0.5)
 
 
 def test_gradient_step_single_partner():
     state = pair_state()
-    assert _pair_weights(state, SolverConfig())[0] == 1.0
+    assert _pair_weights(state)[0] == 1.0
 
 
 def test_gradient_step_starved_partner_keeps_share():
-    # k = 4, tau = 1: exploration 4^-0.5 * (1 + 79) = 40 per partner, so the
-    # weights are 79 + 40 = 119 and 0 + 40 = 40 out of 159
+    # exploration 1 + 79 = 80 per partner, so the weights are 79 + 80 = 159
+    # and 0 + 80 = 80 out of 239
     com = triple_community()
     state = MarketState.initial(com)
     state.Z = np.array([79.0, 0.0, -79.0, 0.0])
-    state.k = 4
-    weights = _pair_weights(state, SolverConfig())
-    assert weights[1] == pytest.approx(40.0 / 159.0)
-    assert weights[0] == pytest.approx(119.0 / 159.0)
+    weights = _pair_weights(state)
+    assert weights[1] == pytest.approx(80.0 / 239.0)
+    assert weights[0] == pytest.approx(159.0 / 239.0)
 
 
 def test_gradient_step_rows_normalised():
     com = triple_community()
     state = MarketState.initial(com)
     state.Z = np.array([80.0, 3.0, -80.0, -3.0])
-    state.k = 7
-    total = _pair_weights(state, SolverConfig())[com.src == 0].sum()
+    total = _pair_weights(state)[com.src == 0].sum()
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def trade_step(state):
     pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
-    return _trade_step(state, SolverConfig(), pairs, _row_sums(state.community, state.Z))
+    return _trade_step(state, pairs, _row_sums(state.community, state.Z))
 
 
 def test_trade_update_inverse_gradient():
@@ -305,16 +304,69 @@ def test_infeasible_market_raises():
         clear_market(com)
 
 
+def test_converged_run_respects_bounds():
+    # the consumer may buy at most 134.6 MW; a stop rule that only checked
+    # bounds with a positive multiplier flagged a run buying 142.36 MW with
+    # mu_lo = 0 as converged after 10 iterations
+    com = build_community([
+        (1, 1, "producer", 0.0121, 22.5, 0.0, 0.0, 475.8),
+        (2, 2, "consumer", 0.2766, 72.6, 0.0, -134.6, 0.0),
+    ])
+    config = SolverConfig()
+    result = clear_market(com, build_gamma(PolicySpec(UNIQUE, fee=9.0), com), config)
+    assert result.converged
+    assert result.net_powers[1] >= -134.6 - config.eps_primal
+    oracle = bisection_clearing(com, wedge=9.0)
+    assert result.net_powers == pytest.approx(oracle.net_powers, abs=5 * config.eps_primal)
+
+
+def test_harsh_community_converges():
+    # nine agents with curvatures spread over 0.01-0.77 and three forced
+    # purchases; with an exploration share that decayed as k^-0.5 this run
+    # stopped at the 20,000-iteration cap with a KKT residual of 4.2e-3
+    com = build_community([
+        (1, 1, "producer", 0.2505, 83.86, 0.0, 0.0, 138.7),
+        (2, 2, "producer", 0.5412, 58.03, 0.0, 0.0, 95.5),
+        (3, 3, "producer", 0.0107, 76.88, 0.0, 0.0, 155.3),
+        (4, 4, "consumer", 0.0163, 60.89, 0.0, -368.0, 0.0),
+        (5, 5, "consumer", 0.1001, 36.84, 0.0, -193.2, -122.7),
+        (6, 6, "consumer", 0.7666, 20.93, 0.0, -224.0, -18.0),
+        (7, 7, "consumer", 0.1548, 83.81, 0.0, -174.5, 0.0),
+        (8, 8, "consumer", 0.6326, 33.95, 0.0, -463.5, 0.0),
+        (9, 9, "consumer", 0.1956, 28.59, 0.0, -174.8, -156.6),
+    ])
+    gamma = build_gamma(PolicySpec(UNIQUE, fee=24.0), com)
+    result = clear_market(com, gamma)
+    assert result.converged
+    engine_obj = market_objective(com, result.trades, gamma)
+    oracle_obj = market_objective(com, qp_reference(com, gamma).trades, gamma)
+    assert abs(engine_obj - oracle_obj) <= 1e-3 * max(abs(oracle_obj), 1.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+def test_every_solver_setting_can_change_the_run(name):
+    # a setting that cannot change a result should not exist; each one,
+    # made 10,000 times tighter, must move the run on a small market
+    default = SolverConfig()
+    value = getattr(default, name)
+    tighter = dataclasses.replace(default, **{name: type(value)(value / 10_000)})
+    com = triple_community()
+    before = clear_market(com, config=default)
+    after = clear_market(com, config=tighter)
+    assert (after.iterations != before.iterations
+            or not np.array_equal(after.trades, before.trades))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValidationError):
-        SolverConfig(tau=0.0)
+        SolverConfig(eps_price=0.0)
     with pytest.raises(ValidationError):
-        SolverConfig(delta=-0.1)
+        SolverConfig(eps_primal=-0.1)
     with pytest.raises(ValidationError):
         SolverConfig(max_iterations=0)
 
 
-@pytest.mark.parametrize("name", ["tau", "delta", "eps_price", "eps_primal"])
+@pytest.mark.parametrize("name", ["eps_price", "eps_primal"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_solver_config_rejects_non_finite(name, value):
     # NaN compares false with everything, so a "<= 0" test alone lets it
