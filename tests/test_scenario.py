@@ -112,6 +112,32 @@ def test_iteration_cap_must_be_whole(tmp_path, raw):
         load_scenario(write_scenario(tmp_path, body))
 
 
+def test_uniform_zone_fees_accepted(tmp_path):
+    # a uniform zonal fee is written as fee
+    body = MINIMAL.replace("kind = free", "kind = zonal\nfee = 5")
+    scenario = load_scenario(write_scenario(tmp_path, body))
+    assert scenario.policy.kind == ZONAL
+    assert scenario.policy.fee == 5.0
+
+
+def test_differentiated_zone_fees_rejected(tmp_path):
+    body = MINIMAL.replace("kind = free", "kind = zonal\nzone_fees = 5, 6, 5, 5")
+    with pytest.raises(ValidationError, match="unknown key 'zone_fees' in \\[policy\\]"):
+        load_scenario(write_scenario(tmp_path, body))
+
+
+def test_zone_fees_exclusive_with_fee(tmp_path):
+    body = MINIMAL.replace("kind = free", "kind = zonal\nfee = 5\nzone_fees = 5, 5")
+    with pytest.raises(ValidationError, match="unknown key 'zone_fees' in \\[policy\\]"):
+        load_scenario(write_scenario(tmp_path, body))
+
+
+def test_zone_fees_require_zonal_kind(tmp_path):
+    body = MINIMAL.replace("kind = free", "kind = unique\nzone_fees = 5, 5")
+    with pytest.raises(ValidationError, match="unknown key 'zone_fees' in \\[policy\\]"):
+        load_scenario(write_scenario(tmp_path, body))
+
+
 def test_zone_fees_key_rejected(tmp_path):
     # a second spelling of fee, for uniform lists only; fee is the one key
     body = MINIMAL.replace("kind = free", "kind = zonal\nzone_fees = 5, 5, 5, 5")
