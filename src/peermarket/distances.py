@@ -111,11 +111,15 @@ def shortest_path(network, weights, from_bus, to_bus):
         return PathResult((from_bus,), 0.0, (network.zone_of(from_bus),))
     adjacency = network.adjacency()
     edges = _edge_weights(network, weights)
-    from_source = _dijkstra(adjacency, edges, from_bus)
+    return _walk(network, adjacency, edges, _dijkstra(adjacency, edges, from_bus),
+                 _dijkstra(adjacency, edges, to_bus), from_bus, to_bus)
+
+
+def _walk(network, adjacency, edges, from_source, to_target, from_bus, to_bus):
+    """Path from_bus -> to_bus read off the distance maps of both ends."""
     total = from_source[to_bus]
     if not np.isfinite(total):
         raise ValidationError(f"bus {to_bus} unreachable from {from_bus}")
-    to_target = _dijkstra(adjacency, edges, to_bus)
     tol = 1e-9 * max(1.0, total)
     nodes = [from_bus]
     seen = {from_bus}
@@ -203,8 +207,18 @@ def distance_matrix(community, network, metric):
 def zone_crossing_matrix(community, network):
     """Per agent pair: zones crossed by the Thevenin shortest path between
     their buses. Paths are resolved once per unordered bus pair so the count
-    is symmetric even when tie-breaking is direction-dependent."""
-    weights = thevenin_line_weights(network)
+    is symmetric even when tie-breaking is direction-dependent. Each path is
+    read off the shortest-path trees of its two ends, and each bus's tree
+    is grown once per call however many pairs it ends."""
+    adjacency = network.adjacency()
+    edges = _edge_weights(network, thevenin_line_weights(network))
+    trees = {}
+
+    def tree(bus):
+        if bus not in trees:
+            trees[bus] = _dijkstra(adjacency, edges, bus)
+        return trees[bus]
+
     agent_buses = [agent.bus for agent in community.agents]
     n = len(community.agents)
     counts = np.ones((n, n), dtype=int)
@@ -215,7 +229,7 @@ def zone_crossing_matrix(community, network):
             if key[0] == key[1]:
                 cache[key] = 1
             else:
-                path = shortest_path(network, weights, key[0], key[1])
+                path = _walk(network, adjacency, edges, tree(key[0]), tree(key[1]), *key)
                 cache[key] = zones_crossed(path, network)
         counts[i, j] = cache[key]
     return counts

@@ -20,6 +20,11 @@ merely at a point where the updates have become small.
 
 The state lives on the community's edge list, one entry per partnered
 ordered pair; trades, proposals and prices become N x N matrices at the end.
+The per-pair constants are gathered once per market (``_PairTerms``). The
+coordinator step gathers the opposite proposals once and returns both the
+copy Z and the pair excess P + P^T, which the next price step reads. The
+trade step's numerator q serves the stop check too, so stationarity has one
+formula.
 
 All per-agent updates within one iteration read only the frozen previous
 state (prices and multipliers advance first and are then visible to the
@@ -126,29 +131,39 @@ class ClearingResult:
 
 class _PairTerms(NamedTuple):
     """Per-pair constants of one market, gathered once per ``clear_market``
-    call: the fee, the side's cost coefficients and sign, and the price gain."""
+    call: the fee, the side's cost coefficients and sign, the sign box
+    ``[lo, hi]`` of its proposals (``[0, inf)`` for a seller, ``(-inf, 0]``
+    for a buyer) and half the price gain, the factor the price step applies
+    to the pair excess."""
 
     gamma: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    seller: np.ndarray
-    gain: np.ndarray
+    sign: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    half_gain: np.ndarray
 
     @classmethod
     def gather(cls, community, gamma):
         src, dst = community.src, community.dst
         a, other = community.a[src], community.a[dst]
-        # a*other and a+other commute, so both sides of a pair get the same gain
-        return cls(gamma[src, dst], a, community.b[src], community.sign[src] > 0,
-                   2.0 * a * other / (a + other))
+        sign = community.sign[src]
+        seller = sign > 0
+        # a*other and a+other commute, so both sides of a pair get the same
+        # gain; halving 2 a other / (a + other) is exact, so this is h / 2
+        return cls(gamma[src, dst], a, community.b[src], sign,
+                   np.where(seller, 0.0, -np.inf), np.where(seller, np.inf, 0.0),
+                   a * other / (a + other))
 
 
-def _price_step(state, pairs):
+def _price_step(state, pairs, excess):
     """Newton step on the one price of every pair: y - h (P + P^T)/2, the
     excess of the two opposite proposals times the pair's gain. The excess
-    equals P - Z while Z is the coordinator copy of P, and the sum commutes,
-    so y stays symmetric bit for bit from its symmetric start."""
-    return state.y - (0.5 * pairs.gain) * (state.P + state.P[state.community.rev])
+    comes from the coordinator step that built Z from the same proposals,
+    so it equals P - Z while Z is the coordinator copy of P. The sum
+    commutes, so y stays symmetric bit for bit from its symmetric start."""
+    return state.y - pairs.half_gain * excess
 
 
 def _row_sums(community, values):
@@ -179,22 +194,33 @@ def _pair_weights(state):
     return raw / _row_sums(community, raw)[community.src]
 
 
-def _trade_step(state, pairs, z_row):
-    """Per-pair gradient step toward each agent's preferred total, projected
-    onto the role's trade sign. Expects prices and multipliers already
-    advanced to the next iterate while Z and its per-agent sums ``z_row``
-    still hold the current one."""
-    src = state.community.src
+def _target_marginal(prices, mu_hi, mu_lo, community, pairs):
+    """Per pair, q = y - gamma - mu_hi + mu_lo - b: the value the agent's
+    marginal cost above b, a times its total, takes where the pair is
+    stationary. The trade step aims the agent at the total q / a, and the
+    stationarity of a proposal is a * total - q."""
+    src = community.src
+    return prices - pairs.gamma - mu_hi[src] + mu_lo[src] - pairs.b
+
+
+def _trade_step(state, pairs, z_row, q):
+    """Per-pair gradient step toward each agent's preferred total q / a,
+    projected onto the role's trade sign. Expects prices and multipliers
+    already advanced to the next iterate, and ``q`` built from them, while Z
+    and its per-agent sums ``z_row`` still hold the current one."""
     weights = _pair_weights(state)
-    target = (state.y - pairs.gamma - state.mu_hi[src] + state.mu_lo[src]
-              - pairs.b) / pairs.a
-    candidate = state.Z + weights * (target - z_row[src])
-    return np.where(pairs.seller, np.maximum(0.0, candidate), np.minimum(0.0, candidate))
+    candidate = state.Z + weights * (q / pairs.a - z_row[state.community.src])
+    # bound first, candidate second: numpy returns the second operand of a
+    # tie, so a zero candidate keeps its sign bit
+    return np.minimum(pairs.hi, np.maximum(pairs.lo, candidate))
 
 
 def _coordinator_step(P, rev):
-    """Skew-symmetric reconciliation of both sides of every trade."""
-    return 0.5 * (P - P[rev])
+    """Skew-symmetric reconciliation of both sides of every trade, plus the
+    pair excess P + P^T that the next price step reads; one gather of the
+    opposite proposals serves both."""
+    opposite = P[rev]
+    return 0.5 * (P - opposite), P + opposite
 
 
 def _accepted_trades(P, rev):
@@ -226,37 +252,39 @@ def clear_market(community, gamma=None, config=None):
 
     state = MarketState.initial(community)
     z_row = _row_sums(community, state.Z)
+    excess = np.zeros_like(state.P)  # P + P^T of the all-zero start
     primal_hist = []
     converged = False
     for iterations in range(1, config.max_iterations + 1):
-        state.y = _price_step(state, pairs)
+        state.y = _price_step(state, pairs, excess)
         state.mu_hi, state.mu_lo = _bound_vectors(state, z_row)
-        state.P = _trade_step(state, pairs, z_row)
-        state.Z = _coordinator_step(state.P, community.rev)
+        q = _target_marginal(state.y, state.mu_hi, state.mu_lo, community, pairs)
+        state.P = _trade_step(state, pairs, z_row, q)
+        state.Z, excess = _coordinator_step(state.P, community.rev)
         z_row = _row_sums(community, state.Z)
         primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
-                and _optimal(state, pairs, config, z_row)):
+                and _optimal(state, pairs, config, z_row, q)):
             converged = True
             break
 
     trades = _on_grid(_accepted_trades(state.P, community.rev), community)
-    residual = _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community, pairs.gamma)
     return ClearingResult(
         trades=trades, proposals=_on_grid(state.P, community),
         prices=_on_grid(state.y, community), net_powers=trades.sum(axis=1),
         mu_hi=state.mu_hi, mu_lo=state.mu_lo,
         iterations=iterations, converged=converged,
-        primal_residuals=np.asarray(primal_hist), kkt_residual=residual)
+        primal_residuals=np.asarray(primal_hist),
+        kkt_residual=_kkt_max(state.P, q, community, pairs))
 
 
-def _optimal(state, pairs, config, z_row):
+def _optimal(state, pairs, config, z_row, q):
     """Stationarity of the proposals within eps_price, every bound held
     within eps_primal and, wherever a bound multiplier is positive, that
-    bound tight within eps_primal."""
+    bound tight within eps_primal. ``q`` is the trade step's, built from the
+    same prices and multipliers."""
     community = state.community
-    if _kkt_max(state.P, state.y, state.mu_hi, state.mu_lo, community,
-                pairs.gamma) > config.eps_price:
+    if _kkt_max(state.P, q, community, pairs) > config.eps_price:
         return False
     slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
@@ -264,11 +292,10 @@ def _optimal(state, pairs, config, z_row):
             and (-slack[bound]).max(initial=0.0) <= config.eps_primal)
 
 
-def _kkt_max(proposals, prices, mu_hi, mu_lo, community, gamma):
-    src = community.src
-    marginal = community.a * _row_sums(community, proposals) + community.b
-    expr = marginal[src] - prices + gamma + mu_hi[src] - mu_lo[src]
-    return _stationarity_max(proposals, expr, community.sign[src])
+def _kkt_max(proposals, q, community, pairs):
+    """Worst stationarity violation a * total - q over the pairs."""
+    stationarity = (community.a * _row_sums(community, proposals))[community.src] - q
+    return _stationarity_max(proposals, stationarity, pairs.sign)
 
 
 def _stationarity_max(proposals, expr, sign):
@@ -287,7 +314,7 @@ def kkt_residual(result, community, gamma=None):
     """Worst stationarity violation of the proposals across all partnered
     pairs, in €/MW. Bound complementarity is not included; the stop rule of
     ``clear_market`` checks it separately."""
-    pairs = (community.src, community.dst)
-    gamma = 0.0 if gamma is None else np.asarray(gamma, dtype=float)[pairs]
-    return _kkt_max(result.proposals[pairs], result.prices[pairs], result.mu_hi,
-                    result.mu_lo, community, gamma)
+    pairs = _PairTerms.gather(community, validate_gamma(community, gamma))
+    at = (community.src, community.dst)
+    q = _target_marginal(result.prices[at], result.mu_hi, result.mu_lo, community, pairs)
+    return _kkt_max(result.proposals[at], q, community, pairs)

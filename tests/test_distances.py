@@ -172,6 +172,18 @@ def test_zone_crossings(community, network):
     assert counts[i, j] == 2
 
 
+def test_zone_crossings_match_shortest_path(community, network):
+    # the matrix reads each path off per-bus trees grown once per call; every
+    # partnered entry must match the standalone path between the same buses,
+    # walked from the lower-numbered bus as the matrix does
+    counts = zone_crossing_matrix(community, network)
+    weights = thevenin_line_weights(network)
+    for i, j in zip(community.src, community.dst):
+        buses = sorted((community.agents[i].bus, community.agents[j].bus))
+        path = shortest_path(network, weights, *buses)
+        assert counts[i, j] == zones_crossed(path, network)
+
+
 def test_default_reference_bus(network):
     assert default_reference_bus(network) == 39
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REFERENCE_CONFIG, make_pair_community
+from conftest import DATA_DIR, REFERENCE_CONFIG, make_pair_community
 from peermarket import (
     InfeasibleError,
     PolicySpec,
@@ -20,6 +20,9 @@ from peermarket import (
     build_gamma,
     clear_market,
     kkt_residual,
+    load_agents,
+    load_network,
+    load_scenario,
     market_objective,
     qp_reference,
 )
@@ -31,6 +34,7 @@ from peermarket.engine import (
     _pair_weights,
     _price_step,
     _row_sums,
+    _target_marginal,
     _trade_step,
 )
 
@@ -64,7 +68,8 @@ def triple_community():
 
 
 def price_step(state):
-    return _price_step(state, _PairTerms.gather(state.community, np.zeros((2, 2))))
+    _, excess = _coordinator_step(state.P, state.community.rev)
+    return _price_step(state, _PairTerms.gather(state.community, np.zeros((2, 2))), excess)
 
 
 def test_price_update_arithmetic():
@@ -177,7 +182,8 @@ def test_gradient_step_rows_normalised():
 
 def trade_step(state):
     pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
-    return _trade_step(state, pairs, _row_sums(state.community, state.Z))
+    q = _target_marginal(state.y, state.mu_hi, state.mu_lo, state.community, pairs)
+    return _trade_step(state, pairs, _row_sums(state.community, state.Z), q)
 
 
 def test_trade_update_inverse_gradient():
@@ -197,7 +203,8 @@ def test_trade_update_keeps_consumer_sign():
 
 
 def coordinator_step(P):
-    return _coordinator_step(np.array(P), make_pair_community().rev)
+    Z, _ = _coordinator_step(np.array(P), make_pair_community().rev)
+    return Z
 
 
 def test_coordinator_update():
@@ -526,3 +533,20 @@ def test_determinism():
     assert np.array_equal(a.trades, b.trades)
     assert np.array_equal(a.prices, b.prices)
     assert a.iterations == b.iterations
+
+
+# Iterations of the four bundled scenarios at their own settings. A change
+# meant only to make the loop faster must leave the negotiation alone, so
+# these move only with a deliberate change to its dynamics.
+SCENARIO_ITERATIONS = {"free": 228, "unique": 262, "distance": 611, "zonal": 279}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_ITERATIONS))
+def test_bundled_scenario_iterations(name):
+    scenario = load_scenario(str(DATA_DIR / f"{name}.ini"))
+    network = load_network(scenario.network_path)
+    community = load_agents(scenario.agents_path, network=network)
+    gamma = build_gamma(scenario.policy, community, network=network)
+    result = clear_market(community, gamma, scenario.solver)
+    assert result.converged
+    assert result.iterations == SCENARIO_ITERATIONS[name]
