@@ -11,7 +11,8 @@ trade quantities, coordinator copy. The loop stops when all of these hold:
   agent's marginal cost plus fee and bound multipliers meets the pair's
   price, and at a zero trade the price lies on the side where the agent
   would not trade;
-* every bound holds within ``eps_primal``, and wherever its multiplier is
+* every bound holds within ``eps_primal``, both for the coordinator copy and
+  for the net powers of the accepted trades, and wherever its multiplier is
   positive it is tight within ``eps_primal``.
 
 The last two are the first-order optimality conditions of the market, so a
@@ -231,6 +232,12 @@ def _accepted_trades(P, rev):
     return np.where(facing, np.sign(P) * np.minimum(np.abs(P), np.abs(opposite)), 0.0)
 
 
+def _settled(P, community):
+    """Accepted trades as an N x N matrix and the net power of each agent."""
+    trades = _on_grid(_accepted_trades(P, community.rev), community)
+    return trades, trades.sum(axis=1)
+
+
 def _on_grid(values, community):
     """Scatter per-pair values into an N x N matrix, zero off the pairs."""
     grid = np.zeros((len(community.agents),) * 2)
@@ -268,10 +275,10 @@ def clear_market(community, gamma=None, config=None):
             converged = True
             break
 
-    trades = _on_grid(_accepted_trades(state.P, community.rev), community)
+    trades, net_powers = _settled(state.P, community)
     return ClearingResult(
         trades=trades, proposals=_on_grid(state.P, community),
-        prices=_on_grid(state.y, community), net_powers=trades.sum(axis=1),
+        prices=_on_grid(state.y, community), net_powers=net_powers,
         mu_hi=state.mu_hi, mu_lo=state.mu_lo,
         iterations=iterations, converged=converged,
         primal_residuals=np.asarray(primal_hist),
@@ -279,17 +286,27 @@ def clear_market(community, gamma=None, config=None):
 
 
 def _optimal(state, pairs, config, z_row, q):
-    """Stationarity of the proposals within eps_price, every bound held
-    within eps_primal and, wherever a bound multiplier is positive, that
-    bound tight within eps_primal. ``q`` is the trade step's, built from the
-    same prices and multipliers."""
+    """Stationarity of the proposals within eps_price; every bound held
+    within eps_primal, by the row sums of Z and by the net powers of the
+    accepted trades that the result reports; and, wherever a bound
+    multiplier is positive, that bound tight within eps_primal. ``q`` is the
+    trade step's, built from the same prices and multipliers."""
     community = state.community
     if _kkt_max(state.P, q, community, pairs) > config.eps_price:
         return False
-    slack = np.concatenate((z_row - community.p_max, community.p_min - z_row))
+    slack = _bound_slack(community, z_row)
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
-    return (slack.max() <= config.eps_primal
-            and (-slack[bound]).max(initial=0.0) <= config.eps_primal)
+    if slack.max() > config.eps_primal or (-slack[bound]).max(initial=0.0) > config.eps_primal:
+        return False
+    # accepted trades take the smaller side of each pair, so their net
+    # powers can sit outside a bound that Z's row sums hold
+    _, net_powers = _settled(state.P, community)
+    return _bound_slack(community, net_powers).max() <= config.eps_primal
+
+
+def _bound_slack(community, totals):
+    """Per-agent excess over the upper bounds, then under the lower ones."""
+    return np.concatenate((totals - community.p_max, community.p_min - totals))
 
 
 def _kkt_max(proposals, q, community, pairs):
