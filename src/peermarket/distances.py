@@ -102,6 +102,14 @@ def _dijkstra(adjacency, edges, source):
     return dist
 
 
+def _thevenin_trees(network, buses):
+    """Adjacency, Thevenin edge weights, and the shortest-path distances
+    from each of ``buses`` to every bus."""
+    adjacency = network.adjacency()
+    edges = _edge_weights(network, thevenin_line_weights(network))
+    return adjacency, edges, {bus: _dijkstra(adjacency, edges, bus) for bus in buses}
+
+
 def shortest_path(network, weights, from_bus, to_bus):
     """Minimal-weight bus path; ties resolved to the lexicographically
     smallest node sequence so results are reproducible."""
@@ -188,10 +196,7 @@ def distance_matrix(community, network, metric):
             for bus_j in distinct[i + 1:]:
                 pair[(bus_i, bus_j)] = float(np.abs(cols[bus_i] - cols[bus_j]).sum())
     else:
-        weights = thevenin_line_weights(network)
-        adjacency = network.adjacency()
-        edges = _edge_weights(network, weights)
-        dist_from = {bus: _dijkstra(adjacency, edges, bus) for bus in distinct}
+        _, _, dist_from = _thevenin_trees(network, distinct)
         pair = {}
         for i, bus_i in enumerate(distinct):
             for bus_j in distinct[i + 1:]:
@@ -208,18 +213,9 @@ def zone_crossing_matrix(community, network):
     """Per agent pair: zones crossed by the Thevenin shortest path between
     their buses. Paths are resolved once per unordered bus pair so the count
     is symmetric even when tie-breaking is direction-dependent. Each path is
-    read off the shortest-path trees of its two ends, and each bus's tree
-    is grown once per call however many pairs it ends."""
-    adjacency = network.adjacency()
-    edges = _edge_weights(network, thevenin_line_weights(network))
-    trees = {}
-
-    def tree(bus):
-        if bus not in trees:
-            trees[bus] = _dijkstra(adjacency, edges, bus)
-        return trees[bus]
-
+    read off the shortest-path trees of its two ends, one tree per bus."""
     agent_buses = [agent.bus for agent in community.agents]
+    adjacency, edges, trees = _thevenin_trees(network, set(agent_buses))
     n = len(community.agents)
     counts = np.ones((n, n), dtype=int)
     cache = {}
@@ -229,7 +225,7 @@ def zone_crossing_matrix(community, network):
             if key[0] == key[1]:
                 cache[key] = 1
             else:
-                path = _walk(network, adjacency, edges, tree(key[0]), tree(key[1]), *key)
+                path = _walk(network, adjacency, edges, trees[key[0]], trees[key[1]], *key)
                 cache[key] = zones_crossed(path, network)
         counts[i, j] = cache[key]
     return counts

@@ -296,12 +296,12 @@ def _optimal(state, pairs, config, z_row, q):
         return False
     slack = _bound_slack(community, z_row)
     bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
-    if slack.max() > config.eps_primal or (-slack[bound]).max(initial=0.0) > config.eps_primal:
-        return False
     # accepted trades take the smaller side of each pair, so their net
     # powers can sit outside a bound that Z's row sums hold
-    _, net_powers = _settled(state.P, community)
-    return _bound_slack(community, net_powers).max() <= config.eps_primal
+    return (slack.max() <= config.eps_primal
+            and (-slack[bound]).max(initial=0.0) <= config.eps_primal
+            and _bound_slack(community, _settled(state.P, community)[1]).max()
+            <= config.eps_primal)
 
 
 def _bound_slack(community, totals):

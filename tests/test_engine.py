@@ -251,32 +251,6 @@ def test_starved_pair_reaches_optimum():
     assert result.net_powers == pytest.approx(oracle.net_powers, abs=5 * config.eps_primal)
 
 
-def test_reported_net_powers_hold_bounds():
-    # consumer 9 must buy at least 91.8 MW. The row sums of Z reached that
-    # bound while the accepted trades, the smaller side of each pair, left
-    # it at -91.744 MW, 5.6 x eps_primal short, and the run stopped there
-    com = build_community([
-        (1, 1, "producer", 0.0168, 57.26, 0.0, 0.0, 265.6),
-        (2, 2, "producer", 0.1547, 61.15, 0.0, 0.0, 188.0),
-        (3, 3, "producer", 0.837, 47.61, 0.0, 0.0, 332.6),
-        (4, 4, "producer", 0.1864, 27.87, 0.0, 0.0, 77.8),
-        (5, 5, "producer", 0.0665, 68.48, 0.0, 0.0, 416.8),
-        (6, 6, "producer", 0.2884, 22.92, 0.0, 0.0, 461.0),
-        (7, 7, "producer", 0.4019, 76.44, 0.0, 0.0, 285.5),
-        (8, 8, "producer", 0.6781, 18.27, 0.0, 0.0, 63.6),
-        (9, 9, "consumer", 0.011, 32.69, 0.0, -161.9, -91.8),
-        (10, 10, "consumer", 0.012, 56.33, 0.0, -124.7, 0.0),
-    ])
-    config = SolverConfig()
-    result = clear_market(com, config=config)
-    assert result.converged
-    assert np.all(result.net_powers <= com.p_max + config.eps_primal)
-    assert np.all(result.net_powers >= com.p_min - config.eps_primal)
-    oracle = qp_reference(com, np.zeros((10, 10)))
-    assert result.net_powers[8] == pytest.approx(oracle.trades[8].sum(),
-                                                 abs=config.eps_primal)
-
-
 def test_zero_volume_pair_trades_exactly_zero():
     # the consumer values power at most 51.2, below either producer's
     # marginal cost at zero output (52.5 and 54.5): nothing may trade
@@ -351,6 +325,32 @@ def test_converged_run_respects_bounds():
     assert result.net_powers[1] >= -134.6 - config.eps_primal
     oracle = bisection_clearing(com, wedge=9.0)
     assert result.net_powers == pytest.approx(oracle.net_powers, abs=5 * config.eps_primal)
+
+
+def test_reported_net_powers_hold_bounds():
+    # consumer 9 must buy at least 91.8 MW. The row sums of Z reached that
+    # bound while the accepted trades, the smaller side of each pair, left
+    # it at -91.744 MW, 5.6 x eps_primal short, and the run stopped there
+    com = build_community([
+        (1, 1, "producer", 0.0168, 57.26, 0.0, 0.0, 265.6),
+        (2, 2, "producer", 0.1547, 61.15, 0.0, 0.0, 188.0),
+        (3, 3, "producer", 0.837, 47.61, 0.0, 0.0, 332.6),
+        (4, 4, "producer", 0.1864, 27.87, 0.0, 0.0, 77.8),
+        (5, 5, "producer", 0.0665, 68.48, 0.0, 0.0, 416.8),
+        (6, 6, "producer", 0.2884, 22.92, 0.0, 0.0, 461.0),
+        (7, 7, "producer", 0.4019, 76.44, 0.0, 0.0, 285.5),
+        (8, 8, "producer", 0.6781, 18.27, 0.0, 0.0, 63.6),
+        (9, 9, "consumer", 0.011, 32.69, 0.0, -161.9, -91.8),
+        (10, 10, "consumer", 0.012, 56.33, 0.0, -124.7, 0.0),
+    ])
+    config = SolverConfig()
+    result = clear_market(com, config=config)
+    assert result.converged
+    assert np.all(result.net_powers <= com.p_max + config.eps_primal)
+    assert np.all(result.net_powers >= com.p_min - config.eps_primal)
+    oracle = qp_reference(com, np.zeros((10, 10)))
+    assert result.net_powers[8] == pytest.approx(oracle.trades[8].sum(),
+                                                 abs=config.eps_primal)
 
 
 def test_harsh_community_converges():
