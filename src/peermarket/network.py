@@ -20,6 +20,7 @@ graph must be connected and zone labels must cover 1..max(zone) without gaps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,12 @@ class Line:
 class Network:
     """Validated bus/line model used by distances, power flow and the CLI.
 
+    It holds the index arrays every grid computation reads: ``ids`` and
+    ``zones`` per bus, ``line_from``/``line_to`` (the bus positions of each
+    line's ends), ``reactance`` and ``capacity`` per line, and each bus's
+    ``neighbours`` (bus positions sorted by ascending bus id). Buses and
+    lines are in file order.
+
     Immutable after construction; safe to share between threads.
     """
 
@@ -54,53 +61,58 @@ class Network:
         self.buses = tuple(buses)
         self.lines = tuple(lines)
         self.base_power = float(base_power)
-        self._validate()
         self._pos = {bus.id: i for i, bus in enumerate(self.buses)}
-        self.zone_count = max(bus.zone for bus in self.buses)
+        self._validate()
+        self.ids = np.array([bus.id for bus in self.buses], dtype=np.int64)
+        self.zones = np.array([bus.zone for bus in self.buses])
+        self.zone_count = int(self.zones.max())
+        self.line_from = np.array([self._pos[line.from_bus] for line in self.lines], dtype=np.intp)
+        self.line_to = np.array([self._pos[line.to_bus] for line in self.lines], dtype=np.intp)
+        self.reactance = np.array([line.reactance for line in self.lines], dtype=float)
+        self.capacity = np.array([line.capacity for line in self.lines], dtype=float)
+        adjacent = np.zeros((self.n_buses, self.n_buses), dtype=bool)
+        adjacent[self.line_from, self.line_to] = adjacent[self.line_to, self.line_from] = True
+        by_id = np.argsort(self.ids)
+        self.neighbours = tuple(tuple(by_id[row[by_id]].tolist()) for row in adjacent)
+        for array in (self.ids, self.zones, self.line_from, self.line_to, self.reactance,
+                      self.capacity):
+            array.flags.writeable = False
+        self._check_connected()
 
     def _validate(self):
         if not self.buses:
             raise ValidationError("network has no buses")
-        ids = [bus.id for bus in self.buses]
-        if len(set(ids)) != len(ids):
+        if len(self._pos) != len(self.buses):
             raise ValidationError("duplicate bus ids in network")
-        if self.base_power <= 0:
-            raise ValidationError("base_mva must be positive")
-        id_set = set(ids)
+        if not all(-2**63 <= bus.id < 2**63 for bus in self.buses):
+            raise ValidationError("bus ids must fit in 64 bits")
+        if not 0.0 < self.base_power < math.inf:  # also rejects NaN
+            raise ValidationError("base_mva must be positive and finite")
         for line in self.lines:
-            if line.reactance <= 0:
+            if not 0.0 < line.reactance < math.inf:
                 raise ValidationError(
-                    f"line {line.from_bus}-{line.to_bus}: reactance must be positive, "
-                    f"got {line.reactance}")
-            if line.capacity <= 0:
+                    f"line {line.from_bus}-{line.to_bus}: reactance must be positive and "
+                    f"finite, got {line.reactance}")
+            if not 0.0 < line.capacity < math.inf:
                 raise ValidationError(
-                    f"line {line.from_bus}-{line.to_bus}: capacity must be positive")
+                    f"line {line.from_bus}-{line.to_bus}: capacity must be positive and finite")
             if line.from_bus == line.to_bus:
                 raise ValidationError(f"line {line.id} connects bus {line.from_bus} to itself")
-            if line.from_bus not in id_set or line.to_bus not in id_set:
+            if line.from_bus not in self._pos or line.to_bus not in self._pos:
                 raise ValidationError(
                     f"line {line.from_bus}-{line.to_bus} references an unknown bus")
         zones = sorted({bus.zone for bus in self.buses})
-        if zones != list(range(1, zones[-1] + 1)):
+        if zones != list(range(1, len(zones) + 1)):
             raise ValidationError(f"zone labels must cover 1..{zones[-1]}, got {zones}")
-        self._check_connected(id_set)
 
-    def _check_connected(self, id_set):
-        if len(self.buses) == 1:
-            return
-        adjacency = {i: set() for i in id_set}
-        for line in self.lines:
-            adjacency[line.from_bus].add(line.to_bus)
-            adjacency[line.to_bus].add(line.from_bus)
-        seen = set()
-        stack = [self.buses[0].id]
+    def _check_connected(self):
+        seen, stack = {0}, [0]
         while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            stack.extend(adjacency[u] - seen)
-        missing = sorted(id_set - seen)
+            for v in self.neighbours[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        missing = sorted(bus.id for i, bus in enumerate(self.buses) if i not in seen)
         if missing:
             raise ValidationError(f"network is disconnected: unreachable buses {missing}")
 
@@ -118,31 +130,25 @@ class Network:
     def zone_of(self, bus_id):
         return self.buses[self.bus_index(bus_id)].zone
 
-    def adjacency(self):
-        """bus id -> set of neighbouring bus ids."""
-        out = {bus.id: set() for bus in self.buses}
-        for line in self.lines:
-            out[line.from_bus].add(line.to_bus)
-            out[line.to_bus].add(line.from_bus)
-        return out
+
+def agent_buses(community, network):
+    """Position in ``network.buses`` of each agent's bus, in community order."""
+    return np.array([network.bus_index(agent.bus) for agent in community.agents], dtype=np.intp)
 
 
 def susceptance_matrix(network):
     """DC susceptance (weighted Laplacian) matrix, ordered like network.buses.
 
     B[i, j] = -1/x summed over parallel lines between i and j, B[i, i] closes
-    the row to zero sum. Symmetric and singular by construction.
+    the row to zero sum. Symmetric and singular by construction. Every entry
+    adds its lines' terms in line order.
     """
-    n = network.n_buses
-    B = np.zeros((n, n))
-    for line in network.lines:
-        i = network.bus_index(line.from_bus)
-        j = network.bus_index(line.to_bus)
-        y = 1.0 / line.reactance
-        B[i, j] -= y
-        B[j, i] -= y
-        B[i, i] += y
-        B[j, j] += y
+    i, j = network.line_from, network.line_to
+    y = 1.0 / network.reactance
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([j, i, i, j], axis=1).ravel()
+    B = np.zeros((network.n_buses, network.n_buses))
+    np.add.at(B, (rows, cols), np.stack([-y, -y, y, y], axis=1).ravel())
     return B
 
 
@@ -152,18 +158,20 @@ def net_injections(community, net_powers, network):
     net_powers is indexed like community.agents; the result is indexed like
     network.buses, zero at buses without agents.
     """
-    injections = np.zeros(network.n_buses)
-    for agent, power in zip(community.agents, net_powers):
-        injections[network.bus_index(agent.bus)] += power
-    return injections
+    return np.bincount(agent_buses(community, network), weights=net_powers,
+                       minlength=network.n_buses)
 
 
 def _tokenize(path):
     with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if text:
-                yield lineno, text
+        try:
+            rows = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    for lineno, raw in enumerate(rows, start=1):
+        text = raw.split("#", 1)[0].strip()
+        if text:
+            yield lineno, text
 
 
 def load_network(path):

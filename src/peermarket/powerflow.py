@@ -14,6 +14,7 @@ import numpy as np
 
 from .distances import ptdf_matrix
 from .errors import ValidationError
+from .network import agent_buses
 
 IMBALANCE_TOL = 1e-3  # MW per bus of allowed injection mismatch
 
@@ -57,8 +58,7 @@ def dc_power_flow(network, injections):
             f"injections do not balance: residual {residual:+.6f} MW exceeds "
             f"{IMBALANCE_TOL * network.n_buses:.3f} MW")
     flows = ptdf_matrix(network) @ injections
-    capacity = np.array([line.capacity for line in network.lines])
-    return FlowResult(flows=flows, rates=np.abs(flows) / capacity, lines=tuple(network.lines))
+    return FlowResult(flows=flows, rates=np.abs(flows) / network.capacity, lines=network.lines)
 
 
 def line_rates(flows):
@@ -84,14 +84,13 @@ def interzone_exchange(community, trades, network):
     side of every trade exactly once, so reciprocal entries never double.
     """
     trades = np.asarray(trades, dtype=float)
-    zones = np.array([network.zone_of(agent.bus) for agent in community.agents])
-    distinct = sorted(set(zones.tolist()))
+    zones = network.zones[agent_buses(community, network)]
+    distinct = np.unique(zones).tolist()
     pairs = []
     total = 0.0
     for ai, za in enumerate(distinct):
         for zb in distinct[ai + 1:]:
-            block = trades[np.ix_(zones == za, zones == zb)]
-            mw = abs(float(block.sum()))
+            mw = abs(float(trades[np.ix_(zones == za, zones == zb)].sum()))
             pairs.append(((za, zb), mw))
             total += mw
     return ZoneExchangeReport(pairs=tuple(pairs), total=total)
@@ -99,8 +98,5 @@ def interzone_exchange(community, trades, network):
 
 def tie_line_flow(flows, network):
     """Secondary congestion-side metric: summed |flow| on zone-crossing lines."""
-    total = 0.0
-    for line, flow in zip(flows.lines, flows.flows):
-        if network.zone_of(line.from_bus) != network.zone_of(line.to_bus):
-            total += abs(float(flow))
-    return total
+    crossing = network.zones[network.line_from] != network.zones[network.line_to]
+    return float(np.abs(flows.flows[crossing]).sum())

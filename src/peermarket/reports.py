@@ -13,6 +13,7 @@ import numpy as np
 
 from .engine import ACTIVE_TRADE_TOL
 from .errors import ValidationError
+from .network import agent_buses
 from .policies import perceived_price
 from .sweep import SweepRecord
 
@@ -124,9 +125,8 @@ def write_residuals(path, result):
 
 
 def write_powerflow(path, network, flows):
-    rows = []
-    for line, flow, rate in zip(network.lines, flows.flows, flows.rates):
-        rows.append((str(line.from_bus), str(line.to_bus), fmt(flow), fmt(rate)))
+    rows = [(str(line.from_bus), str(line.to_bus), fmt(flow), fmt(rate))
+            for line, flow, rate in zip(network.lines, flows.flows, flows.rates)]
     _write(path, "powerflow", ["from_bus", "to_bus", "flow_mw", "rate"], rows)
 
 
@@ -137,15 +137,13 @@ def write_congestion(path, report):
 
 def write_trade_edges(path, community, network, result):
     """Positive-side trade list for market maps, one row per unordered pair."""
-    agents = community.agents
-    rows = []
-    for i, j in zip(community.src, community.dst):
-        mw = result.trades[i, j]
-        if mw <= 0.0:
-            continue
-        same = network.zone_of(agents[i].bus) == network.zone_of(agents[j].bus)
-        rows.append((str(agents[i].id), str(agents[j].id), fmt(mw),
-                     "intra" if same else "inter", _bool(mw > PLOT_THRESHOLD)))
+    zones = network.zones[agent_buses(community, network)]
+    mw = result.trades[community.src, community.dst]
+    sold = mw > 0.0
+    src, dst, mw = community.src[sold], community.dst[sold], mw[sold]
+    ids = [str(agent.id) for agent in community.agents]
+    rows = [(ids[i], ids[j], fmt(w), "intra" if same else "inter", _bool(w > PLOT_THRESHOLD))
+            for i, j, w, same in zip(src, dst, mw, zones[src] == zones[dst])]
     _write(path, "trade-edges", ["n", "m", "trade_mw", "zone_crossing", "relevant"], rows)
 
 
@@ -212,16 +210,12 @@ def write_fee_curves(path, records):
 
 def write_rate_distribution(path, network, rate_table):
     """Per-line rates at every swept fee; rate_table is (fee, rates) pairs."""
-    rows = []
-    for fee, rates in rate_table:
-        for line, rate in zip(network.lines, rates):
-            rows.append((fmt(fee), str(line.from_bus), str(line.to_bus), fmt(rate)))
+    rows = [(fmt(fee), str(line.from_bus), str(line.to_bus), fmt(rate))
+            for fee, rates in rate_table for line, rate in zip(network.lines, rates)]
     _write(path, "rate-distribution", ["fee", "from_bus", "to_bus", "rate"], rows)
 
 
 def write_distance_matrix(path, community, matrix, metric):
     ids = [str(agent.id) for agent in community.agents]
-    rows = []
-    for aid, row in zip(ids, matrix):
-        rows.append((aid, *[fmt(v) for v in row]))
+    rows = [(aid, *[fmt(v) for v in row]) for aid, row in zip(ids, matrix)]
     _write(path, f"distances-{metric}", ["agent", *ids], rows)

@@ -20,7 +20,7 @@ from peermarket import (
     zones_crossed,
 )
 from peermarket.distances import bus_impedance_matrix, default_reference_bus
-from peermarket.network import Bus, Line, Network
+from peermarket.network import Bus, Line, Network, susceptance_matrix
 
 
 def two_bus():
@@ -172,16 +172,38 @@ def test_zone_crossings(community, network):
     assert counts[i, j] == 2
 
 
+def test_zone_crossing_histogram(community, network):
+    # a fixed reference for the New England counts: the test below compares
+    # the matrix with shortest_path, and the two share their walk
+    counts = zone_crossing_matrix(community, network)[community.src, community.dst]
+    assert dict(zip(*np.unique(counts, return_counts=True))) == {1: 110, 2: 168, 3: 130, 4: 12}
+
+
 def test_zone_crossings_match_shortest_path(community, network):
-    # the matrix reads each path off per-bus trees grown once per call; every
-    # partnered entry must match the standalone path between the same buses,
-    # walked from the lower-numbered bus as the matrix does
+    # every partnered entry must match the standalone path between the same
+    # buses, walked from the lower-numbered bus as the matrix does
     counts = zone_crossing_matrix(community, network)
     weights = thevenin_line_weights(network)
     for i, j in zip(community.src, community.dst):
         buses = sorted((community.agents[i].bus, community.agents[j].bus))
         path = shortest_path(network, weights, *buses)
         assert counts[i, j] == zones_crossed(path, network)
+
+
+def test_thevenin_matrix_matches_bellman_ford(community, network):
+    # reference: relax every line once per bus from each agent bus; it sums
+    # along each path from its source, so it may differ in the last bit
+    weights = thevenin_line_weights(network)
+    values = distance_matrix(community, network, THEVENIN).values
+    for i, agent in enumerate(community.agents):
+        dist = {bus.id: np.inf for bus in network.buses}
+        dist[agent.bus] = 0.0
+        for _ in network.buses:
+            for line, w in zip(network.lines, weights):
+                a, b = line.from_bus, line.to_bus
+                dist[a], dist[b] = min(dist[a], dist[b] + w), min(dist[b], dist[a] + w)
+        ref = [dist[other.bus] for other in community.agents]
+        np.testing.assert_allclose(values[i], ref, rtol=1e-15, atol=0)
 
 
 def test_default_reference_bus(network):
@@ -195,3 +217,44 @@ def test_colocated_distance_on_toy():
     ])
     dm = distance_matrix(com, two_bus(), POWER_TRANSFER)
     assert dm.values[0, 1] == 0.0
+
+
+def test_parallel_lines():
+    net = Network([Bus(1, 1), Bus(2, 1)],
+                  [Line(1, 1, 2, 0.1, 100.0), Line(2, 1, 2, 0.3, 100.0)])
+    assert susceptance_matrix(net) == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]) * 40 / 3)
+    assert ptdf_matrix(net)[:, 0] == pytest.approx([0.75, 0.25])
+    assert thevenin_line_weights(net) == pytest.approx([0.075, 0.075])
+
+
+def ring():
+    # equal reactances around 1-2-9-5-4-3, buses 2 and 9 in zone 2: the two
+    # ways from 1 to 5 tie, and the walk takes the lower bus id first
+    order = [1, 2, 9, 5, 4, 3, 1]
+    buses = [Bus(bus, 2 if bus in (2, 9) else 1) for bus in sorted(order[:-1])]
+    lines = [Line(k + 1, a, b, 0.1, 100.0) for k, (a, b) in enumerate(zip(order, order[1:]))]
+    return Network(buses, lines)
+
+
+def test_direction_dependent_tie():
+    net = ring()
+    weights = thevenin_line_weights(net)
+    assert shortest_path(net, weights, 1, 5).nodes == (1, 2, 9, 5)
+    assert shortest_path(net, weights, 5, 1).nodes == (5, 4, 3, 1)
+    com = build_community([
+        (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 100.0),
+        (2, 5, "consumer", 0.1, 80.0, 0.0, -100.0, 0.0),
+    ])
+    counts = zone_crossing_matrix(com, net)
+    assert counts[0, 1] == counts[1, 0] == 2
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -0.01])
+def test_shortest_path_rejects_bad_weights(network, bad):
+    weights = thevenin_line_weights(network)
+    if bad is None:
+        weights = weights[:-1]  # one weight short
+    else:
+        weights[3] = bad  # line 2-25
+    with pytest.raises(ValidationError, match="weight"):
+        shortest_path(network, weights, 2, 25)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from peermarket import (
     ValidationError,
@@ -11,6 +14,8 @@ from peermarket import (
     susceptance_matrix,
 )
 from peermarket.network import Bus, Line, Network
+
+from conftest import NETWORK_FILE
 
 TWO_BUS = """\
 version 1
@@ -100,6 +105,26 @@ def test_susceptance_symmetric_zero_row_sums(network):
     assert np.max(np.abs(b.sum(axis=1))) < 1e-9
 
 
+def test_susceptance_matches_line_loop(network):
+    # reference: each line's four entries added in line order
+    ref = np.zeros((network.n_buses, network.n_buses))
+    for line in network.lines:
+        i, j = network.bus_index(line.from_bus), network.bus_index(line.to_bus)
+        y = 1.0 / line.reactance
+        ref[i, j] -= y
+        ref[j, i] -= y
+        ref[i, i] += y
+        ref[j, j] += y
+    assert np.array_equal(susceptance_matrix(network), ref)
+
+
+def test_injections_match_agent_loop(community, network, free_result):
+    ref = np.zeros(network.n_buses)
+    for agent, power in zip(community.agents, free_result.net_powers):
+        ref[network.bus_index(agent.bus)] += power
+    assert np.array_equal(net_injections(community, free_result.net_powers, network), ref)
+
+
 def test_injections_sum_by_bus(community, network):
     net_powers = np.zeros(len(community))
     net_powers[community.index_of(20)] = -0.9
@@ -132,3 +157,85 @@ def test_direct_construction_validates():
         Network(buses, [Line(id=1, from_bus=1, to_bus=3, reactance=0.1, capacity=10.0)])
     with pytest.raises(ValidationError):
         Network(buses, [Line(id=1, from_bus=1, to_bus=2, reactance=-0.1, capacity=10.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_reactance_rejected(value):
+    with pytest.raises(ValidationError, match="reactance"):
+        Network([Bus(1, 1), Bus(2, 1)], [Line(1, 1, 2, value, 100.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_capacity_rejected(value):
+    with pytest.raises(ValidationError, match="capacity"):
+        Network([Bus(1, 1), Bus(2, 1)], [Line(1, 1, 2, 0.1, value)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_base_power_rejected(value):
+    with pytest.raises(ValidationError, match="base_mva"):
+        Network([Bus(1, 1), Bus(2, 1)], [Line(1, 1, 2, 0.1, 100.0)], base_power=value)
+
+
+def test_bus_id_beyond_64_bits_rejected():
+    with pytest.raises(ValidationError, match="64 bits"):
+        Network([Bus(1, 1), Bus(2**63, 1)], [Line(1, 1, 2**63, 0.1, 100.0)])
+
+
+def test_index_arrays():
+    # bus ids out of file order: positions follow the file, neighbours the ids
+    buses = [Bus(7, 1), Bus(2, 2), Bus(5, 1)]
+    lines = [Line(1, 5, 7, 0.1, 10.0), Line(2, 7, 2, 0.2, 20.0), Line(3, 7, 5, 0.3, 30.0)]
+    net = Network(buses, lines)
+    assert net.ids.tolist() == [7, 2, 5]
+    assert net.zones.tolist() == [1, 2, 1]
+    assert net.line_from.tolist() == [2, 0, 0]
+    assert net.line_to.tolist() == [0, 1, 2]
+    assert net.reactance.tolist() == [0.1, 0.2, 0.3]
+    assert net.capacity.tolist() == [10.0, 20.0, 30.0]
+    assert net.neighbours == ((1, 2), (0,), (0,))
+
+
+# Mutations of the bundled file's rows: drop or add a field, put a token in a
+# field, or duplicate or delete the row. The tokens cover garbage, non-finite
+# and negative numbers, a duplicate id (1), an unknown bus (99), an id
+# beyond 64 bits and a byte that is not UTF-8 (written through
+# surrogateescape).
+BUNDLED_ROWS = Path(NETWORK_FILE).read_text(encoding="utf-8").splitlines()
+DATA_ROWS = [k for k, row in enumerate(BUNDLED_ROWS) if row.strip() and not row.startswith("#")]
+TOKENS = ["x", "1.5.2", "nan", "inf", "-inf", "-0.1", "0", "1e400", "1", "99",
+          "99999999999999999999", "[lines]", "#", "\udcff"]
+
+
+def mutate(rows, row, action, field, token):
+    row %= len(rows)
+    fields = rows[row].split()
+    if action == "drop" and fields:
+        del fields[field % len(fields)]
+    elif action == "add":
+        fields.append(token)
+    elif action == "replace" and fields:
+        fields[field % len(fields)] = token
+    elif action == "duplicate":
+        return rows[:row + 1] + rows[row:]
+    elif action == "delete":
+        return rows[:row] + rows[row + 1:]
+    return rows[:row] + [" ".join(fields)] + rows[row + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DATA_ROWS),
+                          st.sampled_from(["drop", "add", "replace", "duplicate", "delete"]),
+                          st.integers(0, 3), st.sampled_from(TOKENS)),
+                min_size=1, max_size=3))
+def test_parser_fuzz_fails_only_with_validation_error(tmp_path_factory, edits):
+    rows = BUNDLED_ROWS
+    for edit in edits:
+        rows = mutate(rows, *edit)
+    path = tmp_path_factory.getbasetemp() / "mutated.net"
+    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+    try:
+        net = load_network(str(path))
+    except ValidationError:
+        return
+    assert isinstance(net, Network)
