@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError, ValidationError, read_lines
 
 PRODUCER = "producer"
 CONSUMER = "consumer"
@@ -177,16 +177,15 @@ def build_community(rows, partners=None):
 
 def _data_rows(path):
     version_seen = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if text.startswith(FORMAT_MARKER):
-                    version_seen = text[len(FORMAT_MARKER):].strip()
-                continue
-            yield lineno, text, version_seen
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        if text.startswith("#"):
+            if text.startswith(FORMAT_MARKER):
+                version_seen = text[len(FORMAT_MARKER):].strip()
+            continue
+        yield lineno, text, version_seen
 
 
 def load_agents(path, network=None, partners=None):

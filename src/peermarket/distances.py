@@ -55,16 +55,21 @@ def bus_impedance_matrix(network):
     (Thevenin pair impedances Z_ii + Z_jj - 2 Z_ij, PTDF differences) should
     be consumed.
     """
-    n = network.n_buses
-    keep = np.arange(n) != network.bus_index(default_reference_bus(network))
+    return _grounded_solve(network, np.eye(network.n_buses))
+
+
+def _grounded_solve(network, injections):
+    """Bus angles for ``injections`` (one row per bus, one column per case
+    when 2-D) from the susceptance system grounded at the reference bus: its
+    row of the injections is dropped and its angle is zero."""
+    keep = network.ids != default_reference_bus(network)
     B = susceptance_matrix(network)
+    angles = np.zeros(injections.shape)
     try:
-        reduced = np.linalg.solve(B[np.ix_(keep, keep)], np.eye(n - 1))
+        angles[keep] = np.linalg.solve(B[np.ix_(keep, keep)], injections[keep])
     except np.linalg.LinAlgError:
         raise ValidationError("susceptance matrix is singular: network disconnected?") from None
-    Z = np.zeros((n, n))
-    Z[np.ix_(keep, keep)] = reduced
-    return Z
+    return angles
 
 
 def thevenin_line_weights(network):
@@ -135,9 +140,14 @@ def ptdf_matrix(network):
 
 
 def power_transfer_distance(network, bus_n, bus_m):
-    """Sum over lines of the absolute flow caused by a 1 MW trade n->m."""
-    H = ptdf_matrix(network)
-    return float(np.abs(H[:, network.bus_index(bus_n)] - H[:, network.bus_index(bus_m)]).sum())
+    """Sum over lines of the absolute flow caused by a 1 MW trade n->m,
+    from one grounded solve for that injection."""
+    injection = np.zeros(network.n_buses)
+    injection[network.bus_index(bus_n)] += 1.0
+    injection[network.bus_index(bus_m)] -= 1.0
+    angles = _grounded_solve(network, injection)
+    flows = (angles[network.line_from] - angles[network.line_to]) / network.reactance
+    return float(np.abs(flows).sum())
 
 
 def zones_crossed(path, network):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, read_lines
 
 FORMAT_VERSION = 1
 
@@ -158,17 +158,16 @@ def net_injections(community, net_powers, network):
     net_powers is indexed like community.agents; the result is indexed like
     network.buses, zero at buses without agents.
     """
+    net_powers = np.asarray(net_powers, dtype=float)
+    if net_powers.shape != (len(community.agents),):
+        raise ValidationError(f"net_powers must hold one value per agent "
+                              f"({len(community.agents)}), got shape {net_powers.shape}")
     return np.bincount(agent_buses(community, network), weights=net_powers,
                        minlength=network.n_buses)
 
 
 def _tokenize(path):
-    with open(path, encoding="utf-8") as handle:
-        try:
-            rows = handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    for lineno, raw in enumerate(rows, start=1):
+    for lineno, raw in enumerate(read_lines(path), start=1):
         text = raw.split("#", 1)[0].strip()
         if text:
             yield lineno, text

@@ -9,7 +9,9 @@ Two independent routes to the same optimum:
   program over nonnegative producer-to-consumer trade variables with
   projected gradient descent; each projection onto the feasible set is
   solved on its dual, one multiplier per producer row and consumer column,
-  by semismooth Newton steps to within PROJECTION_TOL.
+  by semismooth Newton steps to within PROJECTION_TOL. The projections at
+  the fixed step and at the spectral step each warm-start from the last
+  projection of their own kind (see qp_reference).
 
 Neither shares any update logic with the engine.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import PRODUCER, check_feasible, validate_gamma
+from .community import check_feasible, validate_gamma
 from .errors import InfeasibleError, ValidationError
 
 BISECTION_BALANCE_TOL = 1e-6   # MW
@@ -37,6 +39,7 @@ class OracleResult:
     social_welfare: float
     stationarity: float | None = None
     objective_history: np.ndarray | None = None
+    newton_steps: int = 0
 
 
 def social_welfare(community, net_powers):
@@ -136,7 +139,8 @@ def _project_feasible(v, lo, hi, x, max_steps=20000):
 
     Disallowed pairs are -inf in ``v`` and stay exactly 0; ``lo`` is finite.
     The projection is solved on its dual, one multiplier per row and per
-    column stacked in ``x`` (the starting point; returns ``(t, x)``):
+    column stacked in ``x`` (the starting point; returns ``(t, x, steps)``,
+    with the number of steps taken):
     t = max(v - x_p - x_c, 0), and a multiplier is positive only where its
     sum sits at the upper bound, negative only at the lower bound. Each step
     is a semismooth Newton step on the natural residual
@@ -156,9 +160,9 @@ def _project_feasible(v, lo, hi, x, max_steps=20000):
         return w, t, sums, F, target != sums + x, float(np.sqrt(F @ F))
 
     w, t, sums, F, clipped, norm = residual(x)
-    for _ in range(max_steps):
+    for steps in range(max_steps):
         if norm <= PROJECTION_TOL:
-            return t, x
+            return t, x, steps
         # -dF/dx: identity where the multiplier is inside its box (F = -x),
         # the active bipartite graph's signless Laplacian where it is clipped
         active = (w > 0.0).astype(float)
@@ -167,7 +171,7 @@ def _project_feasible(v, lo, hi, x, max_steps=20000):
         jac[:rows, rows:] = active
         jac[rows:, :rows] = active.T
         jac[~clipped] = 0.0
-        jac[np.diag_indices_from(jac)] = np.where(clipped, np.maximum(degree, 1.0), 1.0)
+        jac.flat[::len(x) + 1] = np.where(clipped, np.maximum(degree, 1.0), 1.0)
         # a clipped multiplier without active pairs first moves to where its
         # best allowed pair activates
         best = np.concatenate((w.max(axis=1), w.max(axis=0)))
@@ -224,21 +228,24 @@ def qp_reference(community, gamma, max_iterations=20000):
     pairs; producer/consumer net bounds become row/column sum boxes.
     Projected gradient with spectral (Barzilai-Borwein) step lengths and a
     monotone Armijo safeguard; the certificate is the prox-gradient residual
-    at the fixed step 1/L, reported in €/MW. Each projection starts from the
-    multipliers of the previous one.
+    at the fixed step 1/L, reported in €/MW. The two kinds of projection
+    keep separate warm starts: one at the fixed step starts from the
+    multipliers of the last fixed-step projection, one at a spectral step
+    from those of the last spectral projection scaled by the ratio of the
+    step lengths (near the optimum t* = P(t* - tau grad) for every tau, so
+    the multipliers grow in proportion to tau).
     """
     gamma = validate_gamma(community, gamma)
     check_feasible(community)
-    producers = [i for i, ag in enumerate(community.agents) if ag.role == PRODUCER]
-    consumers = [i for i, ag in enumerate(community.agents) if ag.role != PRODUCER]
-    a_p = community.a[producers]
-    b_p = community.b[producers]
-    a_c = community.a[consumers]
-    b_c = community.b[consumers]
-    wedge = gamma[np.ix_(producers, consumers)] - gamma[np.ix_(consumers, producers)].T
-    allowed = community.partner_mask()[np.ix_(producers, consumers)]
-    lo = np.concatenate((community.p_min[producers], -community.p_max[consumers]))
-    hi = np.concatenate((community.p_max[producers], -community.p_min[consumers]))
+    pidx = np.flatnonzero(community.sign > 0)
+    cidx = np.flatnonzero(community.sign < 0)
+    P, C = pidx[:, None], cidx[None, :]
+    a_p, b_p = community.a[pidx], community.b[pidx]
+    a_c, b_c = community.a[cidx], community.b[cidx]
+    wedge = gamma[P, C] - gamma[C, P]
+    allowed = community.partner_mask()[P, C]
+    lo = np.concatenate((community.p_min[pidx], -community.p_max[cidx]))
+    hi = np.concatenate((community.p_max[pidx], -community.p_min[cidx]))
     partnered = np.concatenate((allowed.any(axis=1), allowed.any(axis=0)))
     if (lo[~partnered] > 0.0).any():
         raise InfeasibleError(_EMPTY)
@@ -256,55 +263,59 @@ def qp_reference(community, gamma, max_iterations=20000):
         g = (a_p * r + b_p)[:, None] - (b_c - a_c * s)[None, :] + wedge
         return np.where(allowed, g, 0.0)
 
-    multipliers = np.zeros(len(producers) + len(consumers))
+    newton_steps = 0
 
-    def project(v):
-        # warm-started from the multipliers of the previous projection
-        nonlocal multipliers
-        t, multipliers = _project_feasible(np.where(allowed, v, -np.inf), lo, hi, multipliers)
-        return t
+    def project(v, x):
+        nonlocal newton_steps
+        t, x, steps = _project_feasible(np.where(allowed, v, -np.inf), lo, hi, x)
+        newton_steps += steps
+        return t, x
 
-    base_step = 1.0 / (np.max(a_p) * len(consumers) + np.max(a_c) * len(producers))
-    t = project(np.zeros((len(producers), len(consumers))))
+    base_step = 1.0 / (np.max(a_p) * len(cidx) + np.max(a_c) * len(pidx))
+    t, fixed_x = project(np.zeros(allowed.shape), np.zeros(len(lo)))
+    spectral_x, spectral_tau = fixed_x, base_step
     value = objective(t)
     grad = gradient(t)
     history = [value]
     tau = base_step
     stationarity = np.inf
     for _ in range(max_iterations):
-        fixed = project(t - base_step * grad)
+        fixed, fixed_x = project(t - base_step * grad, fixed_x)
         stationarity = float(np.max(np.abs(fixed - t)) / base_step)
         if stationarity <= STATIONARITY_TOL:
             break
         # monotone Armijo on the projected arc, halving the spectral step
         while True:
-            trial = project(t - tau * grad) if tau != base_step else fixed
+            if tau != base_step:
+                trial, spectral_x = project(t - tau * grad, spectral_x * (tau / spectral_tau))
+                spectral_tau = tau
+            else:
+                trial = fixed
             descent = float(np.sum(grad * (trial - t)))
-            if objective(trial) <= value + 1e-4 * descent and descent <= 0.0:
+            trial_value = objective(trial)
+            if trial_value <= value + 1e-4 * descent and descent <= 0.0:
                 break
             tau *= 0.5
             if tau < 1e-12 * base_step:
-                trial = fixed
+                trial, trial_value = fixed, objective(fixed)
                 break
         step_vec = trial - t
         grad_new = gradient(trial)
         curve = float(np.sum(step_vec * (grad_new - grad)))
         energy = float(np.sum(step_vec * step_vec))
         tau = min(energy / curve, 1e6 * base_step) if curve > 1e-16 else 1e6 * base_step
-        t, grad, value = trial, grad_new, objective(trial)
+        t, grad, value = trial, grad_new, trial_value
         history.append(value)
     else:
         raise InfeasibleError(
             f"projected gradient exhausted iterations (stationarity {stationarity:.2e})")
 
-    n = len(community.agents)
-    trades = np.zeros((n, n))
-    pidx = np.asarray(producers)
-    cidx = np.asarray(consumers)
-    trades[np.ix_(pidx, cidx)] = t
-    trades[np.ix_(cidx, pidx)] = -t.T
+    trades = np.zeros((len(community.agents),) * 2)
+    trades[P, C] = t
+    trades[C, P] = -t
     net = trades.sum(axis=1)
     return OracleResult(clearing_price=None, net_powers=net, trades=trades,
                         social_welfare=social_welfare(community, net),
                         stationarity=stationarity,
-                        objective_history=np.asarray(history))
+                        objective_history=np.asarray(history),
+                        newton_steps=newton_steps)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import ACTIVE_TRADE_TOL
-from .errors import ValidationError
+from .errors import ValidationError, read_lines
 from .network import agent_buses
 from .policies import perceived_price
 from .sweep import SweepRecord
@@ -53,21 +53,21 @@ def _read(path, kind, header):
     ``_write`` emitted with this kind and header. The marker must match
     exactly, version included, and every row must have one field per
     column; blank and ``#`` lines are skipped."""
-    with open(path, encoding="utf-8") as handle:
-        if handle.readline().rstrip("\r\n") != _marker(kind):
-            raise ValidationError(f"{path}: not a peermarket {kind} file "
-                                  f"(expected {_marker(kind)!r})")
-        columns = handle.readline().strip().split(",")
-        if columns != header:
-            raise ValidationError(f"{path}: unexpected {kind} columns {columns}")
-        for lineno, raw in enumerate(handle, start=3):
-            raw = raw.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            fields = raw.split(",")
-            if len(fields) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, fields
+    lines = iter(read_lines(path))
+    if next(lines, "").rstrip("\r\n") != _marker(kind):
+        raise ValidationError(f"{path}: not a peermarket {kind} file "
+                              f"(expected {_marker(kind)!r})")
+    columns = next(lines, "").strip().split(",")
+    if columns != header:
+        raise ValidationError(f"{path}: unexpected {kind} columns {columns}")
+    for lineno, raw in enumerate(lines, start=3):
+        raw = raw.strip()
+        if not raw or raw.startswith("#"):
+            continue
+        fields = raw.split(",")
+        if len(fields) != len(header):
+            raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+        yield lineno, fields
 
 
 def clearing_price(result):

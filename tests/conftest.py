@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from importlib.resources import files
 
+import numpy as np
 import pytest
 
 from peermarket import (
@@ -58,6 +59,31 @@ def make_pair_community():
 @pytest.fixture
 def pair_community():
     return make_pair_community()
+
+
+def acceptance_7_markets():
+    """Acceptance 7's 200 random communities of 2-6 agents, each with its
+    gamma: no fee on even cases, a uniform wedge on odd ones."""
+    rng = np.random.default_rng(20260816)
+    for case in range(200):
+        n = int(rng.integers(2, 7))
+        n_producers = int(rng.integers(1, n))
+        roles = [PRODUCER] * n_producers + [CONSUMER] * (n - n_producers)
+        rows = []
+        for i, role in enumerate(roles):
+            a = float(rng.uniform(0.05, 0.1))
+            b = float(rng.uniform(15, 85))
+            if role == PRODUCER:
+                p_min, p_max = 0.0, float(rng.uniform(50, 500))
+            else:
+                p_min, p_max = -float(rng.uniform(50, 500)), 0.0
+            rows.append((i + 1, i + 1, role, a, b, 0.0, p_min, p_max))
+        com = build_community(rows)
+        # the wedge is drawn either way so the agent parameters do not
+        # depend on the parity
+        u = float(rng.uniform(0, 30)) if case % 2 == 1 else 0.0
+        mask = com.partner_mask()
+        yield com, np.where(mask, np.where(com.sign[:, None] > 0, u / 2, -u / 2), 0.0)
 
 
 # Acceptance results are echoed in one block at the end of the run so the

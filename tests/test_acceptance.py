@@ -13,19 +13,16 @@ import time
 
 import numpy as np
 
-from conftest import DATA_DIR, make_pair_community, record_acceptance
+from conftest import DATA_DIR, acceptance_7_markets, make_pair_community, record_acceptance
 from peermarket import (
-    CONSUMER,
     DISTANCE,
     MAX_RATE_TARGET,
     MarketState,
-    PRODUCER,
     PolicySpec,
     SolverConfig,
     UNIQUE,
     ZONAL,
     bisection_clearing,
-    build_community,
     build_gamma,
     clear_market,
     dc_power_flow,
@@ -189,32 +186,13 @@ def test_acceptance_6_interzone_magnitude(community, network, free_result):
 
 
 def test_acceptance_7_solver_invariants():
-    rng = np.random.default_rng(20260816)
     config = SolverConfig()
     start = time.perf_counter()
     converged = 0
     fails = {"skew": 0, "sign": 0, "sum-g": 0, "balance": 0, "kkt": 0, "objective": 0}
     worst_kkt = 0.0
     worst_obj = 0.0
-    for case in range(200):
-        n = int(rng.integers(2, 7))
-        n_producers = int(rng.integers(1, n))
-        roles = [PRODUCER] * n_producers + [CONSUMER] * (n - n_producers)
-        rows = []
-        for i, role in enumerate(roles):
-            a = float(rng.uniform(0.05, 0.1))
-            b = float(rng.uniform(15, 85))
-            if role == PRODUCER:
-                p_min, p_max = 0.0, float(rng.uniform(50, 500))
-            else:
-                p_min, p_max = -float(rng.uniform(50, 500)), 0.0
-            rows.append((i + 1, i + 1, role, a, b, 0.0, p_min, p_max))
-        com = build_community(rows)
-        # every odd case carries a uniform fee wedge, drawn either way so the
-        # agent parameters do not depend on the parity
-        u = float(rng.uniform(0, 30)) if case % 2 == 1 else 0.0
-        mask = com.partner_mask()
-        gamma = np.where(mask, np.where(com.sign[:, None] > 0, u / 2, -u / 2), 0.0)
+    for com, gamma in acceptance_7_markets():
         result = clear_market(com, gamma, config)
         if not result.converged:
             continue
@@ -230,7 +208,7 @@ def test_acceptance_7_solver_invariants():
         row_sums = np.bincount(com.src, weights=_pair_weights(state))
         if np.abs(row_sums - 1.0).max() > 1e-12:
             fails["sum-g"] += 1
-        if abs(result.net_powers.sum()) > n * config.eps_primal:
+        if abs(result.net_powers.sum()) > len(com) * config.eps_primal:
             fails["balance"] += 1
         if result.kkt_residual > 10 * config.eps_price:
             fails["kkt"] += 1

@@ -303,3 +303,32 @@ def test_sweep_rejects_bad_grid(tmp_path, free_scenario):
     assert cli("sweep", free_scenario, "--policy", "unique",
                "--fee-min", "10", "--fee-max", "0",
                "--output", str(tmp_path / "o")) == 1
+
+
+def _not_utf8(path, text):
+    """``text`` followed by a line holding byte 0xff, which UTF-8 never uses."""
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    return str(path)
+
+
+def test_agents_file_not_utf8_exits_2(tmp_path, capsys):
+    agents = _not_utf8(tmp_path / "agents.csv", open(AGENTS_FILE, encoding="utf-8").read())
+    assert cli("distances", NETWORK_FILE, "16", "39", "power_transfer",
+               "--matrix", str(tmp_path / "matrix.csv"), "--agents", agents) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_trades_file_not_utf8_exits_2(tmp_path, capsys):
+    trades = _not_utf8(tmp_path / "trades.csv", "# peermarket trades v1\n"
+                       "n,m,trade_mw,price,gamma,perceived_price\n")
+    assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, trades,
+               "--output", str(tmp_path / "out")) == 2
+    assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_sweep_table_not_utf8_exits_2(tmp_path, capsys):
+    table = _not_utf8(tmp_path / "sweep.csv", "# peermarket sweep v1\n"
+                      "fee,converged,iterations,volume_mw,gamma_so,"
+                      "interzone_mw,avg_rate,max_rate,max_line\n")
+    assert cli("recommend-fee", table, "--revenue") == 2
+    assert "not UTF-8 text" in capsys.readouterr().err

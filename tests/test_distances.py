@@ -115,6 +115,16 @@ def test_power_transfer_corridor(network):
     assert power_transfer_distance(network, 39, 16) == pytest.approx(d)
 
 
+def test_power_transfer_matches_matrix(community, network):
+    # the scalar distance solves for one trade; the matrix reads the PTDF
+    matrix = distance_matrix(community, network, POWER_TRANSFER).values
+    buses = [agent.bus for agent in community.agents]
+    for i, j in zip(*np.triu_indices(len(buses), 1)):
+        if buses[i] != buses[j]:
+            assert power_transfer_distance(network, buses[i], buses[j]) == pytest.approx(
+                matrix[i, j], rel=1e-12)
+
+
 def test_power_transfer_same_bus(network):
     assert power_transfer_distance(network, 5, 5) == 0.0
 

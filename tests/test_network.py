@@ -139,6 +139,11 @@ def test_injections_zero_powers(community, network):
     assert not inj.any()
 
 
+def test_injections_reject_wrong_length(community, network):
+    with pytest.raises(ValidationError, match="one value per agent"):
+        net_injections(community, np.zeros(5), network)
+
+
 def test_injection_single_producer(network):
     from peermarket import build_community
 
@@ -194,6 +199,21 @@ def test_index_arrays():
     assert net.reactance.tolist() == [0.1, 0.2, 0.3]
     assert net.capacity.tolist() == [10.0, 20.0, 30.0]
     assert net.neighbours == ((1, 2), (0,), (0,))
+
+
+def test_non_utf8_byte_reported_at_its_file_offset(tmp_path):
+    # past the first decoded chunk, so the offset is the file's, not the chunk's
+    path = tmp_path / "long.net"
+    path.write_bytes(b"# padding\n" * 2000 + b"\xff\n")
+    with pytest.raises(ValidationError, match="not UTF-8 text \\(byte 20000\\)"):
+        load_network(str(path))
+
+
+def test_reader_translates_newlines_like_text_mode(tmp_path):
+    path = tmp_path / "crlf.net"
+    path.write_bytes(Path(NETWORK_FILE).read_bytes().replace(b"\n", b"\r\n"))
+    crlf, bundled = load_network(str(path)), load_network(NETWORK_FILE)
+    assert (crlf.buses, crlf.lines) == (bundled.buses, bundled.lines)
 
 
 # Mutations of the bundled file's rows: drop or add a field, put a token in a

@@ -6,21 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_pair_community
+from conftest import DATA_DIR, acceptance_7_markets, make_pair_community
 from peermarket import (
+    CONSUMER,
     DISTANCE,
     DistanceMatrix,
     InfeasibleError,
+    PRODUCER,
     PolicySpec,
+    UNIQUE,
     ValidationError,
     bisection_clearing,
     build_community,
     build_gamma,
     clear_market,
+    load_scenario,
     market_objective,
     qp_reference,
     social_welfare,
 )
+from peermarket.community import check_feasible
 from peermarket.distances import POWER_TRANSFER
 from peermarket.oracle import PROJECTION_TOL, _project_feasible
 
@@ -30,10 +35,21 @@ def ne_free_qp(community):
     return qp_reference(community, np.zeros((len(community), len(community))))
 
 
+@pytest.fixture(scope="module")
+def bundled_qps(community, network):
+    """The QP oracle on each bundled scenario's own gamma, by scenario name."""
+    qps = {}
+    for name in ("free", "unique", "distance", "zonal"):
+        policy = load_scenario(str(DATA_DIR / f"{name}.ini")).policy
+        qps[name] = qp_reference(community, build_gamma(policy, community, network=network))
+    return qps
+
+
 def test_bisection_pair_free():
     oracle = bisection_clearing(make_pair_community())
     assert oracle.clearing_price == pytest.approx(50.0, abs=1e-6)
     assert oracle.net_powers == pytest.approx([300.0, -300.0], abs=1e-6)
+    assert oracle.newton_steps == 0
 
 
 def test_bisection_pair_with_wedge():
@@ -193,7 +209,7 @@ def projection_cases(draw):
 def test_projection_meets_its_kkt_conditions(case):
     allowed, t0, lo, hi, v = case
     rows = t0.shape[0]
-    t, x = _project_feasible(np.where(allowed, v, -np.inf), lo, hi, np.zeros(len(lo)))
+    t, x, _ = _project_feasible(np.where(allowed, v, -np.inf), lo, hi, np.zeros(len(lo)))
     assert (t >= 0.0).all()
     assert not t[~allowed].any()
     sums = np.concatenate((t.sum(axis=1), t.sum(axis=0)))
@@ -206,8 +222,20 @@ def test_projection_meets_its_kkt_conditions(case):
     assert (sums[x > PROJECTION_TOL] >= hi[x > PROJECTION_TOL] - PROJECTION_TOL).all()
     assert (sums[x < -PROJECTION_TOL] <= lo[x < -PROJECTION_TOL] + PROJECTION_TOL).all()
     # a feasible point is its own projection, also warm-started elsewhere
-    again, _ = _project_feasible(np.where(allowed, t0, -np.inf), lo, hi, x)
+    again, _, _ = _project_feasible(np.where(allowed, t0, -np.inf), lo, hi, x)
     np.testing.assert_allclose(again, t0, rtol=0.0, atol=1e-6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(projection_cases(), st.floats(-3.0, 3.0))
+def test_projection_from_scaled_multipliers(case, exponent):
+    # the oracle's warm starts rescale multipliers by a ratio of step lengths;
+    # any start must lead to the same projection
+    allowed, _, lo, hi, v = case
+    v = np.where(allowed, v, -np.inf)
+    cold, x, _ = _project_feasible(v, lo, hi, np.zeros(len(lo)))
+    warm, _, _ = _project_feasible(v, lo, hi, x * 10.0 ** exponent)
+    np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-6)
 
 
 @pytest.mark.parametrize("p_max_2, partners", [
@@ -255,3 +283,58 @@ def test_engine_objective_matches_oracle(community, free_result, ne_free_qp):
     f_engine = market_objective(community, free_result.trades, gamma)
     f_oracle = market_objective(community, ne_free_qp.trades, gamma)
     assert abs(f_engine - f_oracle) <= 1e-3 * abs(f_oracle)
+
+
+def test_qp_iterations_on_bundled_scenarios(bundled_qps):
+    iterations = {name: len(qp.objective_history) - 1 for name, qp in bundled_qps.items()}
+    assert iterations == {"free": 17, "unique": 24, "distance": 36, "zonal": 19}
+
+
+def test_qp_iterations_on_acceptance_7_communities():
+    assert sum(len(qp_reference(com, gamma).objective_history) - 1
+               for com, gamma in acceptance_7_markets()) == 483
+
+
+@pytest.mark.parametrize("name, cap", [("distance", 150), ("zonal", 120)])
+def test_qp_newton_steps_stay_warm(bundled_qps, name, cap):
+    # each kind of projection warm-starts from its own last multipliers; a
+    # start from the other step's multipliers took 425 and 203 steps here
+    assert 0 < bundled_qps[name].newton_steps <= cap
+
+
+def harsh_communities():
+    """Random 2-12 agent communities with strongly varied curvature a, and
+    consumers that must buy a minimum half the time, each with a unique fee
+    and skipped when infeasible: a harder test of the projections' warm
+    starts than acceptance 7."""
+    rng = np.random.default_rng(7)
+    while True:
+        n = int(rng.integers(2, 13))
+        n_producers = int(rng.integers(1, n))
+        rows = []
+        for i in range(n):
+            a = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
+            b = float(rng.uniform(15, 85))
+            if i < n_producers:
+                role, p_min, p_max = PRODUCER, 0.0, float(rng.uniform(50, 500))
+            else:
+                role, p_min = CONSUMER, -float(rng.uniform(50, 500))
+                p_max = -float(rng.uniform(0, -p_min)) if rng.random() < 0.5 else 0.0
+            rows.append((i + 1, i + 1, role, a, b, 0.0, p_min, p_max))
+        fee = float(rng.uniform(0, 30))
+        com = build_community(rows)
+        try:
+            check_feasible(com)
+        except InfeasibleError:
+            continue
+        yield com, build_gamma(PolicySpec(UNIQUE, fee), com)
+
+
+def test_qp_converges_on_harsh_community():
+    # Case 13: warm-starting every projection from the last projection of
+    # either kind, rescaled by the step ratio, leaves one here that never
+    # converges
+    com, gamma = next(case for k, case in enumerate(harsh_communities()) if k == 13)
+    qp = qp_reference(com, gamma)
+    assert qp.stationarity <= 1e-4
+    assert market_objective(com, qp.trades, gamma) == pytest.approx(57362.49673101781, rel=1e-8)
