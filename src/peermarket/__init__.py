@@ -1,7 +1,7 @@
 """Peer-to-peer electricity market clearing with network-aware fees.
 
 The package clears a community of producers and consumers through
-bilateral trades (consensus + innovations iteration), prices grid usage
+bilateral trades (a consensus ADMM negotiation), prices grid usage
 through cost allocation policies (unique, electrical distance, zonal),
 and maps the outcome back onto a DC network model: line rates, congestion
 and inter-zone exchanges. Reference solvers, a scenario runner and fee

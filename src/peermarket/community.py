@@ -100,6 +100,11 @@ class Community:
                 if agent.id not in other.partners:
                     raise ValidationError(
                         f"partnership not symmetric: {agent.id} -> {partner}")
+                # two sellers or two buyers: their sign boxes never face
+                if other.role == agent.role:
+                    raise ValidationError(
+                        f"partnership ({agent.id}, {partner}) joins two {agent.role}s, "
+                        "which can never trade")
 
     def __len__(self):
         return len(self.agents)
@@ -152,8 +157,9 @@ def validate_gamma(community, gamma):
 def build_community(rows, partners=None):
     """Assemble a Community from (id, bus, role, a, b, c, p_min, p_max) tuples.
 
-    partners is an optional iterable of undirected (id, id) pairs; by default
-    every agent partners with all agents of the opposite role.
+    partners is an optional iterable of undirected (id, id) pairs, each
+    joining a producer and a consumer; by default every agent partners with
+    all agents of the opposite role.
     """
     ids = [row[0] for row in rows]
     roles = {row[0]: row[2] for row in rows}
@@ -237,7 +243,9 @@ def save_agents(community, path):
 
 
 def load_partners(path):
-    """Read an explicit partnership list: rows of ``agent_id,partner_id``."""
+    """Read an explicit partnership list: rows of ``agent_id,partner_id``.
+    Each pair must join a producer and a consumer; ``load_agents`` and
+    ``build_community`` reject any other."""
     pairs = []
     for lineno, text, _ in _data_rows(path):
         fields = [f.strip() for f in next(csv.reader([text]))]

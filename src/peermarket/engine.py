@@ -1,10 +1,28 @@
-"""Consensus-based negotiation engine for bilateral electricity trades.
+"""Consensus ADMM negotiation engine for bilateral electricity trades.
 
 Agents repeatedly exchange price signals with the agents they may trade with
 while a coordinator keeps a skew-symmetric copy of the trades. Every trade
 clears at one price shared by both sides; the grid fee is added on top of
-it. One iteration advances, in order: bilateral prices, bound multipliers,
-trade quantities, coordinator copy. The loop stops when all of these hold:
+it. This is the consensus ADMM of Sorin, Bobo and Pinson (IEEE TPWRS 2019).
+One iteration advances, in order:
+
+* each agent's exact local step: it minimises its cost, plus the fees,
+  minus the prices, plus rho/2 (P_nm - Z_nm)^2 per pair, over proposals in
+  the sign box of its role whose total stays within its bounds. The
+  solution has one unknown, the agent's marginal lambda_n: each proposal
+  is the sign-box projection of Z_nm + (y_nm - gamma_nm - lambda_n) /
+  rho_nm, and lambda_n makes them sum to clip((lambda_n - b_n) / a_n,
+  p_min, p_max), a monotone piecewise-linear root found by semismooth
+  Newton (``_local_step``);
+* the coordinator copy Z = (P - P^T)/2;
+* the stop check below;
+* bilateral prices, y <- y - rho/2 (P + P^T), where rho = s h per pair and
+  h = 2 a_n a_m / (a_n + a_m) is the pair's Newton gain;
+* the penalty scale s, doubled or halved by residual balancing (Boyd et
+  al. 2011, section 3.4.1) while the agents still disagree with the
+  coordinator.
+
+The loop stops when all of these hold:
 
 * agents agree with the coordinator within ``eps_primal``;
 * every proposal is stationary within ``eps_price``: at a traded pair the
@@ -17,19 +35,23 @@ trade quantities, coordinator copy. The loop stops when all of these hold:
 
 The last two are the first-order optimality conditions of the market, so a
 run flagged converged is at the market optimum up to the tolerances, not
-merely at a point where the updates have become small.
+merely at a point where the updates have become small. The bound
+multipliers follow from lambda: how far it lies beyond the marginal cost at
+a bound, where the agent's total sits at that bound, and zero elsewhere. At
+a traded pair the stationarity a p + b + mu - (y - gamma) is then rho
+(Z_old - P), so the full check runs only once that is within
+``eps_price``.
+
+The negotiation opens at the free-market clearing price of the whole
+community, with every agent's best response to it split evenly over its
+partners and made reciprocal (``MarketState.initial``).
 
 The state lives on the community's edge list, one entry per partnered
 ordered pair; trades, proposals and prices become N x N matrices at the end.
-The per-pair constants are gathered once per market (``_PairTerms``). The
-coordinator step gathers the opposite proposals once and returns both the
-copy Z and the pair excess P + P^T, which the next price step reads. The
-trade step's numerator q serves the stop check too, so stationarity has one
-formula.
-
-All per-agent updates within one iteration read only the frozen previous
-state (prices and multipliers advance first and are then visible to the
-trade step), so the sweep order never affects the result.
+The per-pair and per-agent constants are gathered once per market
+(``_PairTerms``, ``_LocalTerms``). All per-agent updates within one
+iteration read only the frozen previous state, so the sweep order never
+affects the result.
 """
 
 from __future__ import annotations
@@ -43,27 +65,25 @@ from .community import check_feasible, validate_gamma
 from .errors import ValidationError
 
 ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
+ROOT_TOL = 1e-9          # MW by which an agent's proposals may miss its total
+NEWTON_STEPS = 8         # per local step; a bracketed bisection takes over after
+BISECTION_STEPS = 200    # halvings at most; it stops once every miss is within ROOT_TOL
+BALANCE_RATIO = 10.0     # residual balancing acts when one residual exceeds the other this much
+SCALE_LIMIT = 2.0 ** 40  # the penalty scale s stays within [1/limit, limit]
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rules for the negotiation loop.
 
-    No gain is a setting: pair (n, m) steps its price by h = 2 a_n a_m /
-    (a_n + a_m) times its excess (P_nm + P_mn)/2. The sides respond by 1/a_n
-    and 1/a_m MW per €/MW, so the excess moves by 1/h: a Newton step. Agent
-    n's bound multipliers step by a_n. Both scale with the cost unit, so no
-    result depends on it. The trade step moves only a weighted share of each
-    response, so larger gains overshoot: on acceptance 7's 200 communities
-    (3,850 iterations in all) a price gain of 2h stalls 13 at the cap and
-    0.5h none (6,373 iterations); a bound gain of 4 a_n stalls 11, 2 a_n none.
-
-    Nor is the exploration share of the trade step: each partner of agent n
-    gets 1 + sum_m |Z_nm| MW on top of its own |Z_nm| (see
-    ``_pair_weights``), whatever the iteration. eps_price bounds the
-    stationarity of the proposals (€/MW); eps_primal bounds the
-    agent-coordinator disagreement, the excess over every bound and the
-    slack of every bound whose multiplier is positive (MW).
+    No step size is a setting: each pair's penalty is rho = s h with h = 2
+    a_n a_m / (a_n + a_m), the gain at which the price step is a Newton
+    step on the pair's excess, and the scale s starts at 1 and follows the
+    residuals. Each local step is solved exactly. Penalties, prices and
+    marginals all scale with the cost unit, so no result depends on it.
+    eps_price bounds the stationarity of the proposals (€/MW); eps_primal
+    bounds the agent-coordinator disagreement, the excess over every bound
+    and the slack of every bound whose multiplier is positive (MW).
     """
 
     max_iterations: int = 20000
@@ -85,23 +105,53 @@ class MarketState:
     ``P`` (the agents' proposals), ``Z`` (the coordinator's skew-symmetric
     copy) and ``y`` (the bilateral prices) hold one entry per partnered pair
     in the community's pair order, so ``P[community.rev]`` is the transpose.
-    ``mu_hi`` and ``mu_lo`` are per agent.
+    ``lam`` holds each agent's marginal from its last local step, which
+    warm-starts the next, and ``s`` the penalty scale.
     """
 
     community: object
     P: np.ndarray = field(default=None)
     Z: np.ndarray = field(default=None)
     y: np.ndarray = field(default=None)
-    mu_hi: np.ndarray = field(default=None)
-    mu_lo: np.ndarray = field(default=None)
+    lam: np.ndarray = field(default=None)
+    s: float = 1.0
 
     @classmethod
-    def initial(cls, community):
-        n = len(community.agents)
-        pairs = len(community.src)
-        return cls(community=community, P=np.zeros(pairs), Z=np.zeros(pairs),
-                   y=np.full(pairs, float(np.mean(community.b))),
-                   mu_hi=np.zeros(n), mu_lo=np.zeros(n))
+    def initial(cls, community, local=None):
+        """The opening state. Every pair is priced at the free-market
+        clearing price of the whole community, the price at which the
+        agents' best responses balance when fees and partnership lists are
+        ignored. Each agent's best response, split evenly over its
+        partners, is made reciprocal, P = Z = (B - B^T)/2, so the opening
+        excess is zero. Each marginal starts at the agent's own b.
+        ``local`` passes the market's ``_LocalTerms`` when already gathered."""
+        local = local if local is not None else _LocalTerms.gather(community)
+        price = _balancing_price(local)
+        best = np.minimum(local.total_hi, np.maximum(
+            local.total_lo, (price - community.b) * local.inv_a))
+        share = (best / np.maximum(local.partners, 1))[community.src]
+        Z = 0.5 * (share - share[community.rev])
+        return cls(community=community, P=Z, Z=Z, y=np.full(len(Z), price),
+                   lam=community.b.copy())
+
+
+def _balancing_price(local):
+    """The price y at which the agents' totals clip((y - b)/a, lo, hi) sum
+    to zero. The sum rises piecewise linearly between the marginal costs
+    at the agents' bounds, so the root is exact from those kinks sorted;
+    where the sum cannot reach zero, the nearest kink."""
+    kinks = np.concatenate((local.marginal_lo, local.marginal_hi))
+    order = np.argsort(kinks, kind="stable")
+    at = kinks[order]
+    slope = np.cumsum(np.concatenate((local.inv_a, -local.inv_a))[order])
+    # the sum at each kink after the first, less its value sum(lo) below all
+    rise = np.cumsum(slope[:-1] * (at[1:] - at[:-1]))
+    short = -float(local.total_lo.sum())
+    k = int(np.searchsorted(rise, short))
+    if k == len(rise):
+        return float(at[-1])
+    # the root lies between kinks k and k + 1, where the slope is slope[k]
+    return float(at[k] + (short - (rise[k - 1] if k else 0.0)) / slope[k])
 
 
 @dataclass(frozen=True)
@@ -113,15 +163,18 @@ class ClearingResult:
     is skew-symmetric by construction, so the delivered dispatch balances
     exactly. ``proposals`` keeps the agents' own final positions; at
     convergence the two differ by at most ``2 * eps_primal`` entrywise.
-    ``kkt_residual`` is the worst stationarity violation of the proposals
-    over all partnered pairs (€/MW); bound complementarity is enforced by
-    the stop rule and is not part of it.
+    ``marginals`` holds each agent's lambda from its last local step, its
+    marginal cost plus bound multipliers, and ``mu_hi`` and ``mu_lo`` those
+    multipliers. ``kkt_residual`` is the worst stationarity violation of the
+    proposals over all partnered pairs (€/MW); bound complementarity is
+    enforced by the stop rule and is not part of it.
     """
 
     trades: np.ndarray
     proposals: np.ndarray
     prices: np.ndarray
     net_powers: np.ndarray
+    marginals: np.ndarray
     mu_hi: np.ndarray
     mu_lo: np.ndarray
     iterations: int
@@ -132,39 +185,58 @@ class ClearingResult:
 
 class _PairTerms(NamedTuple):
     """Per-pair constants of one market, gathered once per ``clear_market``
-    call: the fee, the side's cost coefficients and sign, the sign box
-    ``[lo, hi]`` of its proposals (``[0, inf)`` for a seller, ``(-inf, 0]``
-    for a buyer) and half the price gain, the factor the price step applies
-    to the pair excess."""
+    call: the fee, the side's linear cost and sign, and the Newton gain h."""
 
     gamma: np.ndarray
-    a: np.ndarray
     b: np.ndarray
     sign: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    half_gain: np.ndarray
+    gain: np.ndarray
 
     @classmethod
     def gather(cls, community, gamma):
         src, dst = community.src, community.dst
         a, other = community.a[src], community.a[dst]
-        sign = community.sign[src]
-        seller = sign > 0
         # a*other and a+other commute, so both sides of a pair get the same
-        # gain; halving 2 a other / (a + other) is exact, so this is h / 2
-        return cls(gamma[src, dst], a, community.b[src], sign,
-                   np.where(seller, 0.0, -np.inf), np.where(seller, np.inf, 0.0),
-                   a * other / (a + other))
+        # gain bit for bit
+        return cls(gamma[src, dst], community.b[src], community.sign[src],
+                   2.0 * a * other / (a + other))
 
 
-def _price_step(state, pairs, excess):
-    """Newton step on the one price of every pair: y - h (P + P^T)/2, the
-    excess of the two opposite proposals times the pair's gain. The excess
-    comes from the coordinator step that built Z from the same proposals,
-    so it equals P - Z while Z is the coordinator copy of P. The sum
-    commutes, so y stays symmetric bit for bit from its symmetric start."""
-    return state.y - pairs.half_gain * excess
+class _LocalTerms(NamedTuple):
+    """The terms of the local step, one per partnered pair and then one per
+    agent. At marginals lam, agent n's miss is the sum over its terms of
+    clip((t - lam[n]) / rho, lo, hi), which falls as lam[n] rises. A pair's
+    term is its proposal: t = rho Z + y - gamma, and the sign box of the
+    role, [0, inf) for a seller and (-inf, 0] for a buyer. The agent's own
+    term has t = b, rho = a and the box [-p_max, -p_min]: minus its total
+    clip((lam - b)/a, p_min, p_max). An agent without partners cannot
+    trade, so the box of its total is [0, 0]. Also kept per agent: its
+    partner count, 1/a, and the box of its total with the marginal costs
+    at both ends."""
+
+    src: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    partners: np.ndarray
+    inv_a: np.ndarray
+    total_lo: np.ndarray
+    total_hi: np.ndarray
+    marginal_lo: np.ndarray
+    marginal_hi: np.ndarray
+
+    @classmethod
+    def gather(cls, community):
+        src, n = community.src, len(community.agents)
+        seller = community.sign[src] > 0
+        partners = np.bincount(src, minlength=n)
+        total_lo = np.where(partners > 0, community.p_min, 0.0)
+        total_hi = np.where(partners > 0, community.p_max, 0.0)
+        inv_a = 1.0 / community.a
+        return cls(np.concatenate((src, np.arange(n))),
+                   np.concatenate((np.where(seller, 0.0, -np.inf), -total_hi)),
+                   np.concatenate((np.where(seller, np.inf, 0.0), -total_lo)),
+                   partners, inv_a, total_lo, total_hi,
+                   community.a * total_lo + community.b, community.a * total_hi + community.b)
 
 
 def _row_sums(community, values):
@@ -172,56 +244,107 @@ def _row_sums(community, values):
     return np.bincount(community.src, weights=values, minlength=len(community.agents))
 
 
-def _bound_vectors(state, z_row):
-    """Bound multipliers from the per-agent sums ``z_row`` of Z, each agent
-    stepping by its own curvature a."""
-    community = state.community
-    mu_hi = np.maximum(0.0, state.mu_hi + community.a * (z_row - community.p_max))
-    mu_lo = np.maximum(0.0, state.mu_lo + community.a * (community.p_min - z_row))
-    return mu_hi, mu_lo
+def _terms_at(lam, target, inv_rho, local):
+    """Every term of the local step at the marginals ``lam``, before and
+    after its box."""
+    raw = (target - lam[local.src]) * inv_rho
+    return raw, np.minimum(local.hi, np.maximum(local.lo, raw))
 
 
-def _pair_weights(state):
-    """Share of agent n's adjustment given to each of its pairs: the pair's
-    own volume |Z_nm| plus an exploration share 1 + sum_m |Z_nm| MW, so a
-    partner it does not trade with keeps a share while the agent trades
-    elsewhere and that pair can heal. Costs and bounds are exact, so there
-    is no noise to average out and the share does not decay with the
-    iteration count: the step depends on the negotiation state alone."""
-    community = state.community
-    volume = np.abs(state.Z)
-    explore = 1.0 + _row_sums(community, volume)
-    raw = volume + explore[community.src]
-    return raw / _row_sums(community, raw)[community.src]
+def _slope_floor(inv_rho):
+    """Floor of the Newton slope, 1e-3 times the smallest 1/rho of any term:
+    below every slope that is not zero, so it acts only where an agent sits
+    on a flat piece of its miss, and there, with the miss at zero, leaves
+    it in place."""
+    return 1e-3 * float(inv_rho.min())
+
+
+def _local_step(lam, target, inv_rho, floor, local):
+    """Every agent's exact local step: the marginals at which its miss
+    vanishes, by semismooth Newton from ``lam``, and its terms there. The
+    miss is monotone and piecewise linear, so a Newton step is exact within
+    one piece; a step can cycle between pieces, so after NEWTON_STEPS a
+    bracketed bisection finishes."""
+    n = len(lam)
+    for _ in range(NEWTON_STEPS):
+        raw, terms = _terms_at(lam, target, inv_rho, local)
+        miss = np.bincount(local.src, terms, n)
+        if miss.dot(miss) <= ROOT_TOL * ROOT_TOL:
+            return lam, terms
+        slope = np.bincount(local.src, inv_rho * (terms == raw), n)
+        lam = lam + miss / np.maximum(slope, floor)
+    return _bisect(lam, target, inv_rho, local)
+
+
+def _bisect(lam, target, inv_rho, local):
+    """Bracketed bisection on the marginals. Above every pair's t + rho
+    |p_min| an agent's proposals cannot exceed its total, and below every
+    t - rho |p_max| they cannot fall short of it; an agent already solved
+    keeps its marginal."""
+    n = len(lam)
+    pairs = len(local.src) - n
+    src, t, rho = local.src[:pairs], target[:pairs], 1.0 / inv_rho[:pairs]
+    solved = np.abs(np.bincount(local.src, _terms_at(lam, target, inv_rho, local)[1], n))
+    solved = solved <= ROOT_TOL
+    low, high = lam.copy(), lam.copy()
+    np.minimum.at(low, src, t - rho * np.abs(local.total_hi[src]))
+    np.maximum.at(high, src, t + rho * np.abs(local.total_lo[src]))
+    low[solved], high[solved] = lam[solved], lam[solved]
+    for _ in range(BISECTION_STEPS):
+        lam = 0.5 * (low + high)
+        terms = _terms_at(lam, target, inv_rho, local)[1]
+        miss = np.bincount(local.src, terms, n)
+        if np.abs(miss).max(initial=0.0) <= ROOT_TOL:
+            break
+        low = np.where(miss > 0.0, lam, low)
+        high = np.where(miss > 0.0, high, lam)
+    return lam, terms
+
+
+def _multipliers(lam, local):
+    """Bound multipliers of the local step: how far lambda lies beyond the
+    marginal cost at a bound, which is where the agent's total sits at
+    that bound; zero elsewhere."""
+    return np.maximum(lam - local.marginal_hi, 0.0), np.maximum(local.marginal_lo - lam, 0.0)
 
 
 def _target_marginal(prices, mu_hi, mu_lo, community, pairs):
     """Per pair, q = y - gamma - mu_hi + mu_lo - b: the value the agent's
     marginal cost above b, a times its total, takes where the pair is
-    stationary. The trade step aims the agent at the total q / a, and the
-    stationarity of a proposal is a * total - q."""
+    stationary. The stationarity of a proposal is a * total - q."""
     src = community.src
     return prices - pairs.gamma - mu_hi[src] + mu_lo[src] - pairs.b
 
 
-def _trade_step(state, pairs, z_row, q):
-    """Per-pair gradient step toward each agent's preferred total q / a,
-    projected onto the role's trade sign. Expects prices and multipliers
-    already advanced to the next iterate, and ``q`` built from them, while Z
-    and its per-agent sums ``z_row`` still hold the current one."""
-    weights = _pair_weights(state)
-    candidate = state.Z + weights * (q / pairs.a - z_row[state.community.src])
-    # bound first, candidate second: numpy returns the second operand of a
-    # tie, so a zero candidate keeps its sign bit
-    return np.minimum(pairs.hi, np.maximum(pairs.lo, candidate))
+def _price_step(y, rho_half, excess):
+    """The next price of every pair, y - rho/2 (P + P^T), and the step
+    itself. The sum commutes, so y stays symmetric bit for bit."""
+    push = rho_half * excess
+    return y - push, push
 
 
 def _coordinator_step(P, rev):
     """Skew-symmetric reconciliation of both sides of every trade, plus the
-    pair excess P + P^T that the next price step reads; one gather of the
+    pair excess P + P^T that the price step reads; one gather of the
     opposite proposals serves both."""
     opposite = P[rev]
     return 0.5 * (P - opposite), P + opposite
+
+
+def _rebalanced(s, primal, dual):
+    """Residual balancing on the squared norms of the primal residual h (P
+    + P^T), the reciprocity gap in €/MW, and the dual residual rho (Z -
+    Z_old): double the penalty scale while the primal one exceeds the dual
+    one BALANCE_RATIO times, halve it in the reverse case. Powers of two
+    keep every run independent of the cost unit bit for bit. The loop
+    balances only while the agents disagree with the coordinator by more
+    than eps_primal, so the penalty settles once they agree: ADMM with a
+    varying penalty converges when the penalty is eventually fixed."""
+    if primal > BALANCE_RATIO ** 2 * dual and s < SCALE_LIMIT:
+        return 2.0 * s
+    if dual > BALANCE_RATIO ** 2 * primal and s > 1.0 / SCALE_LIMIT:
+        return 0.5 * s
+    return s
 
 
 def _accepted_trades(P, rev):
@@ -256,52 +379,98 @@ def clear_market(community, gamma=None, config=None):
     gamma = validate_gamma(community, gamma)
     check_feasible(community)
     pairs = _PairTerms.gather(community, gamma)
+    local = _LocalTerms.gather(community)
+    n_pairs = len(community.src)
+    # the pair part of these two changes every iteration and with s; the
+    # agent part holds b and 1/a
+    target = np.concatenate((np.zeros(n_pairs), community.b))
+    inv_rho = np.concatenate((1.0 / pairs.gain, local.inv_a))
+    floor = _slope_floor(inv_rho)
+    head = target[:n_pairs]
 
-    state = MarketState.initial(community)
-    z_row = _row_sums(community, state.Z)
-    excess = np.zeros_like(state.P)  # P + P^T of the all-zero start
+    state = MarketState.initial(community, local)
+    rho, rho_half = pairs.gain, 0.5 * pairs.gain
     primal_hist = []
     converged = False
     for iterations in range(1, config.max_iterations + 1):
-        state.y = _price_step(state, pairs, excess)
-        state.mu_hi, state.mu_lo = _bound_vectors(state, z_row)
-        q = _target_marginal(state.y, state.mu_hi, state.mu_lo, community, pairs)
-        state.P = _trade_step(state, pairs, z_row, q)
+        Z_old = state.Z
+        np.subtract(np.add(np.multiply(rho, Z_old, out=head), state.y, out=head),
+                    pairs.gamma, out=head)
+        state.lam, terms = _local_step(state.lam, target, inv_rho, floor, local)
+        state.P = terms[:n_pairs]
         state.Z, excess = _coordinator_step(state.P, community.rev)
-        z_row = _row_sums(community, state.Z)
-        primal_hist.append(float(np.abs(state.P - state.Z).max(initial=0.0)))
+        # P - Z is half the pair excess
+        primal_hist.append(0.5 * float(np.abs(excess).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
-                and _optimal(state, pairs, config, z_row, q)):
-            converged = True
-            break
+                and _lagging(state.P, Z_old, rho) <= config.eps_price):
+            outcome = _Outcome.of(state, pairs, local)
+            if _optimal(state, outcome, config):
+                converged = True
+                break
+        state.y, push = _price_step(state.y, rho_half, excess)
+        if primal_hist[-1] > config.eps_primal:
+            dual = rho * (state.Z - Z_old)
+            # the primal residual h (P + P^T) is 2 push / s
+            s = _rebalanced(state.s, 4.0 * push.dot(push) / (state.s * state.s),
+                            dual.dot(dual))
+            if s != state.s:
+                # powers of two: rho, rho/2 and 1/rho scale exactly
+                state.s, rho = s, s * pairs.gain
+                rho_half = 0.5 * rho
+                np.divide(1.0, rho, out=inv_rho[:n_pairs])
+                floor = _slope_floor(inv_rho)
+    else:
+        outcome = _Outcome.of(state, pairs, local)
 
-    trades, net_powers = _settled(state.P, community)
     return ClearingResult(
-        trades=trades, proposals=_on_grid(state.P, community),
-        prices=_on_grid(state.y, community), net_powers=net_powers,
-        mu_hi=state.mu_hi, mu_lo=state.mu_lo,
+        trades=outcome.trades, proposals=_on_grid(state.P, community),
+        prices=_on_grid(state.y, community), net_powers=outcome.net_powers,
+        marginals=state.lam, mu_hi=outcome.mu_hi, mu_lo=outcome.mu_lo,
         iterations=iterations, converged=converged,
-        primal_residuals=np.asarray(primal_hist),
-        kkt_residual=_kkt_max(state.P, q, community, pairs))
+        primal_residuals=np.asarray(primal_hist), kkt_residual=outcome.kkt)
 
 
-def _optimal(state, pairs, config, z_row, q):
+class _Outcome(NamedTuple):
+    """What a run reports of its state: the bound multipliers, the worst
+    stationarity of the proposals, the accepted trades and their net
+    powers. The stop rule judges the same figures the result reports."""
+
+    mu_hi: np.ndarray
+    mu_lo: np.ndarray
+    kkt: float
+    trades: np.ndarray
+    net_powers: np.ndarray
+
+    @classmethod
+    def of(cls, state, pairs, local):
+        community = state.community
+        mu_hi, mu_lo = _multipliers(state.lam, local)
+        q = _target_marginal(state.y, mu_hi, mu_lo, community, pairs)
+        return cls(mu_hi, mu_lo, _kkt_max(state.P, q, community, pairs),
+                   *_settled(state.P, community))
+
+
+def _lagging(P, Z_old, rho):
+    """Worst stationarity over the pairs the local step left unclipped:
+    there a p + b + mu - (y - gamma) is rho (Z_old - P)."""
+    return float(np.abs(np.where(P != 0.0, rho * (Z_old - P), 0.0)).max(initial=0.0))
+
+
+def _optimal(state, outcome, config):
     """Stationarity of the proposals within eps_price; every bound held
     within eps_primal, by the row sums of Z and by the net powers of the
     accepted trades that the result reports; and, wherever a bound
-    multiplier is positive, that bound tight within eps_primal. ``q`` is the
-    trade step's, built from the same prices and multipliers."""
-    community = state.community
-    if _kkt_max(state.P, q, community, pairs) > config.eps_price:
+    multiplier is positive, that bound tight within eps_primal."""
+    if outcome.kkt > config.eps_price:
         return False
-    slack = _bound_slack(community, z_row)
-    bound = np.concatenate((state.mu_hi, state.mu_lo)) > 0.0
+    community = state.community
+    slack = _bound_slack(community, _row_sums(community, state.Z))
+    bound = np.concatenate((outcome.mu_hi, outcome.mu_lo)) > 0.0
     # accepted trades take the smaller side of each pair, so their net
     # powers can sit outside a bound that Z's row sums hold
     return (slack.max() <= config.eps_primal
             and (-slack[bound]).max(initial=0.0) <= config.eps_primal
-            and _bound_slack(community, _settled(state.P, community)[1]).max()
-            <= config.eps_primal)
+            and _bound_slack(community, outcome.net_powers).max() <= config.eps_primal)
 
 
 def _bound_slack(community, totals):

@@ -10,12 +10,17 @@ import pytest
 from peermarket import (
     CONSUMER,
     PRODUCER,
+    UNIQUE,
+    InfeasibleError,
+    PolicySpec,
     SolverConfig,
     build_community,
+    build_gamma,
     clear_market,
     load_agents,
     load_network,
 )
+from peermarket.community import check_feasible
 
 DATA_DIR = files("peermarket") / "data"
 NETWORK_FILE = str(DATA_DIR / "new_england.net")
@@ -84,6 +89,35 @@ def acceptance_7_markets():
         u = float(rng.uniform(0, 30)) if case % 2 == 1 else 0.0
         mask = com.partner_mask()
         yield com, np.where(mask, np.where(com.sign[:, None] > 0, u / 2, -u / 2), 0.0)
+
+
+def harsh_communities():
+    """Random 2-12 agent communities with curvature a log-uniform over
+    0.01-1, and consumers that must buy a minimum half the time, each with
+    one unique fee drawn from 0-30 and skipped when infeasible: a harder
+    population than acceptance 7 for the engine and the QP oracle alike.
+    The generator never ends; take what a test needs."""
+    rng = np.random.default_rng(7)
+    while True:
+        n = int(rng.integers(2, 13))
+        n_producers = int(rng.integers(1, n))
+        rows = []
+        for i in range(n):
+            a = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
+            b = float(rng.uniform(15, 85))
+            if i < n_producers:
+                role, p_min, p_max = PRODUCER, 0.0, float(rng.uniform(50, 500))
+            else:
+                role, p_min = CONSUMER, -float(rng.uniform(50, 500))
+                p_max = -float(rng.uniform(0, -p_min)) if rng.random() < 0.5 else 0.0
+            rows.append((i + 1, i + 1, role, a, b, 0.0, p_min, p_max))
+        fee = float(rng.uniform(0, 30))
+        com = build_community(rows)
+        try:
+            check_feasible(com)
+        except InfeasibleError:
+            continue
+        yield com, build_gamma(PolicySpec(UNIQUE, fee), com)
 
 
 # Acceptance results are echoed in one block at the end of the run so the

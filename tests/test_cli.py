@@ -72,7 +72,8 @@ def test_removed_solver_flag_is_usage_error(tmp_path, free_scenario):
 
 @pytest.mark.parametrize("key", ["alpha0", "alpha_decay", "rho"])
 def test_derived_gain_key_exits_2(tmp_path, free_scenario, capsys, key):
-    # the price and bound gains follow from the cost curves; no key sets them
+    # the penalty rho = s h follows from the cost curves and the residuals;
+    # no key sets it or the gains it replaced
     with open(free_scenario, "a", encoding="utf-8") as handle:
         handle.write(f"\n[solver]\n{key} = 0.01\n")
     assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2
@@ -81,7 +82,7 @@ def test_derived_gain_key_exits_2(tmp_path, free_scenario, capsys, key):
 
 @pytest.mark.parametrize("key", ["tau", "delta"])
 def test_exploration_schedule_key_exits_2(tmp_path, free_scenario, capsys, key):
-    # the exploration share of the trade step does not decay; no key sets it
+    # the local step is solved exactly and has no schedule; no key sets one
     with open(free_scenario, "a", encoding="utf-8") as handle:
         handle.write(f"\n[solver]\n{key} = 0.5\n")
     assert cli("run", free_scenario, "--output", str(tmp_path / "out")) == 2

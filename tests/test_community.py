@@ -169,6 +169,30 @@ def test_partner_file_round_trip(tmp_path):
     assert load_partners(str(path)) == [(1, 3), (2, 3)]
 
 
+def test_same_role_partnership_rejected():
+    # consumers 2 and 3 can never trade with each other: of the 6 ordered
+    # pairs these partnerships list, 2 would carry dead state
+    rows = [
+        (1, 1, PRODUCER, 0.1, 20.0, 0.0, 0.0, 100.0),
+        (2, 2, CONSUMER, 0.1, 80.0, 0.0, -100.0, 0.0),
+        (3, 3, CONSUMER, 0.1, 75.0, 0.0, -100.0, 0.0),
+    ]
+    with pytest.raises(ValidationError, match=r"\(2, 3\) joins two consumers"):
+        build_community(rows, partners=[(1, 2), (1, 3), (2, 3)])
+
+
+def test_same_role_partnership_from_file_rejected(tmp_path):
+    agents = tmp_path / "agents.csv"
+    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                      "1,1,producer,0.1,20,0,0,100\n"
+                      "2,2,producer,0.1,25,0,0,100\n"
+                      "3,3,consumer,0.1,80,0,-100,0\n")
+    partners = tmp_path / "partners.csv"
+    partners.write_text("agent_id,partner_id\n1,3\n1,2\n")
+    with pytest.raises(ValidationError, match="joins two producers"):
+        load_agents(str(agents), partners=load_partners(str(partners)))
+
+
 def test_self_partnership_rejected():
     rows = [
         (1, 1, PRODUCER, 0.1, 20.0, 0.0, 0.0, 100.0),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, make_pair_community
+from conftest import DATA_DIR, REFERENCE_CONFIG, harsh_communities, make_pair_community
 from peermarket import (
     InfeasibleError,
     PolicySpec,
@@ -27,15 +27,16 @@ from peermarket import (
     qp_reference,
 )
 from peermarket.engine import (
+    ROOT_TOL,
     MarketState,
+    _LocalTerms,
     _PairTerms,
-    _bound_vectors,
+    _bisect,
     _coordinator_step,
-    _pair_weights,
+    _local_step,
+    _multipliers,
     _price_step,
-    _row_sums,
-    _target_marginal,
-    _trade_step,
+    _slope_floor,
 )
 
 # Per-pair arrays follow the community's row-major pair order. The pair
@@ -69,7 +70,8 @@ def triple_community():
 
 def price_step(state):
     _, excess = _coordinator_step(state.P, state.community.rev)
-    return _price_step(state, _PairTerms.gather(state.community, np.zeros((2, 2))), excess)
+    pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
+    return _price_step(state.y, 0.5 * state.s * pairs.gain, excess)[0]
 
 
 def test_price_update_arithmetic():
@@ -105,101 +107,167 @@ def test_price_gain_is_harmonic_mean_of_curvatures():
     assert y[1] == y[0]
 
 
-def bound_vectors(state):
-    return _bound_vectors(state, _row_sums(state.community, state.Z))
+def test_price_step_scales_with_penalty():
+    # at s = 2 the pair's penalty is rho = 2h and the same excess moves the
+    # price twice as far
+    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0])
+    state.s = 2.0
+    assert price_step(state)[0] == pytest.approx(49.0)
 
 
-def test_bounds_update_inactive_stays_zero():
-    state = pair_state(Z=[10.0, -10.0])
-    mu_hi, mu_lo = bound_vectors(state)
-    assert (mu_hi[0], mu_lo[0]) == (0.0, 0.0)
+def local_step(state, gamma=None):
+    """One exact local step from ``state``, as ``clear_market`` takes it:
+    the marginals and the proposals."""
+    com = state.community
+    n = len(com)
+    pairs = _PairTerms.gather(com, np.zeros((n, n)) if gamma is None else gamma)
+    local = _LocalTerms.gather(com)
+    rho = state.s * pairs.gain
+    target = np.concatenate((rho * state.Z + state.y - pairs.gamma, com.b))
+    inv_rho = np.concatenate((1.0 / rho, local.inv_a))
+    lam, terms = _local_step(state.lam, target, inv_rho, _slope_floor(inv_rho), local)
+    return lam, terms[:len(com.src)]
 
 
-def test_bounds_update_projects_to_zero():
-    # mu_hi = 1, a*(Z_n - p_max) = -2 at a = 0.5 pushes the multiplier
-    # through zero
-    com = build_community([
+def multipliers(com, lam):
+    return _multipliers(np.asarray(lam, dtype=float), _LocalTerms.gather(com))
+
+
+def bounded_pair():
+    # the producer may sell at most 10 MW, at marginal cost 20 + 0.5 P
+    return build_community([
         (1, 1, "producer", 0.5, 20.0, 0.0, 0.0, 10.0),
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
     ])
-    state = MarketState.initial(com)
-    state.Z = np.array([6.0, -6.0])
-    state.mu_hi = np.array([1.0, 0.0])
-    mu_hi, _ = bound_vectors(state)
+
+
+def test_bounds_update_inactive_stays_zero():
+    # a marginal of 50 puts both totals inside their bounds (300 and -300
+    # MW), so neither agent has a bound multiplier
+    mu_hi, mu_lo = multipliers(make_pair_community(), [50.0, 50.0])
+    assert np.array_equal(mu_hi, np.zeros(2))
+    assert np.array_equal(mu_lo, np.zeros(2))
+
+
+def test_bounds_update_projects_to_zero():
+    # at lambda = 24 the producer's total is (24 - 20)/0.5 = 8 MW, inside
+    # its 10 MW cap, so its upper multiplier is exactly zero
+    mu_hi, _ = multipliers(bounded_pair(), [24.0, 50.0])
     assert mu_hi[0] == 0.0
 
 
 def test_bounds_update_activates():
-    # Z_n - p_max = +2 at a = 0.5 raises mu_hi from rest to 1.0
-    com = build_community([
-        (1, 1, "producer", 0.5, 20.0, 0.0, 0.0, 10.0),
-        (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
-    ])
-    state = MarketState.initial(com)
-    state.Z = np.array([12.0, -12.0])
-    mu_hi, _ = bound_vectors(state)
+    # at lambda = 26 the total would be 12 MW; clipped to the 10 MW cap,
+    # whose marginal cost is 25, it leaves mu_hi = 26 - 25 = 1
+    mu_hi, mu_lo = multipliers(bounded_pair(), [26.0, 50.0])
     assert mu_hi[0] == pytest.approx(1.0)
+    assert mu_lo[0] == 0.0
 
 
 def test_gradient_step_uniform_when_balanced():
+    # both consumers face the producer at one price and one penalty, so
+    # its local step splits its total evenly between them
     com = triple_community()
     state = MarketState.initial(com)
+    state.y = np.full(4, 50.0)
     state.Z = np.array([5.0, 5.0, -5.0, -5.0])
-    weights = _pair_weights(state)
-    assert weights[0] == pytest.approx(0.5)
-    assert weights[1] == pytest.approx(0.5)
+    _, P = local_step(state)
+    assert P[0] == P[1]
+    assert P[0] > 5.0
 
 
 def test_gradient_step_zero_row():
-    com = triple_community()
+    # the producer's marginal cost at zero output (52.5) is above the price
+    # of either pair: it proposes exactly nothing, and its marginal stays on
+    # the flat piece of its miss
+    com = build_community([
+        (1, 1, "producer", 0.06, 52.5, 0.0, 0.0, 170.0),
+        (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
+        (3, 3, "consumer", 0.1, 75.0, 0.0, -500.0, 0.0),
+    ])
     state = MarketState.initial(com)
-    assert _pair_weights(state)[0] == pytest.approx(0.5)
+    state.y = np.full(4, 40.0)
+    state.Z = np.zeros(4)
+    lam, P = local_step(state)
+    assert np.array_equal(P[:2], np.zeros(2))
+    assert lam[0] == 52.5
 
 
 def test_gradient_step_single_partner():
-    state = pair_state()
-    assert _pair_weights(state)[0] == 1.0
+    # one partner: P = (rho Z + y - b) / (rho + a) in closed form, here
+    # (0.1 * 100 + 50 - 20) / 0.2 = 200 MW, at marginal 20 + 0.1 * 200 = 40
+    state = pair_state(y=[50.0, 50.0], Z=[100.0, -100.0])
+    lam, P = local_step(state)
+    assert P[0] == pytest.approx(200.0)
+    assert lam[0] == pytest.approx(40.0)
 
 
 def test_gradient_step_starved_partner_keeps_share():
-    # exploration 1 + 79 = 80 per partner, so the weights are 79 + 80 = 159
-    # and 0 + 80 = 80 out of 239
+    # the producer trades 79 MW with consumer 2 and nothing with consumer
+    # 3; at one price and one penalty both pairs move by the same amount,
+    # so the starved pair gains as much as the traded one
     com = triple_community()
     state = MarketState.initial(com)
+    state.y = np.full(4, 50.0)
     state.Z = np.array([79.0, 0.0, -79.0, 0.0])
-    weights = _pair_weights(state)
-    assert weights[1] == pytest.approx(80.0 / 239.0)
-    assert weights[0] == pytest.approx(159.0 / 239.0)
+    _, P = local_step(state)
+    assert P[1] > 0.0
+    assert P[1] - 0.0 == pytest.approx(P[0] - 79.0)
 
 
-def test_gradient_step_rows_normalised():
-    com = triple_community()
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+       st.lists(st.floats(20.0, 90.0), min_size=2, max_size=2),
+       st.sampled_from([0.25, 1.0, 8.0]))
+def test_gradient_step_rows_normalised(Z, prices, s):
+    # the local step's invariant: every agent's proposals sum to its total
+    # clip((lambda - b)/a, p_min, p_max), within the root tolerance
+    com = build_community(triple_community_rows())
     state = MarketState.initial(com)
-    state.Z = np.array([80.0, 3.0, -80.0, -3.0])
-    total = _pair_weights(state)[com.src == 0].sum()
-    assert total == pytest.approx(1.0, abs=1e-12)
+    state.Z = np.array(Z)
+    state.y = np.array([prices[0], prices[1], prices[0], prices[1]])
+    state.s = s
+    lam, P = local_step(state)
+    totals = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
+    assert np.abs(np.bincount(com.src, P, len(com)) - totals).max() <= ROOT_TOL
 
 
-def trade_step(state):
-    pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
-    q = _target_marginal(state.y, state.mu_hi, state.mu_lo, state.community, pairs)
-    return _trade_step(state, pairs, _row_sums(state.community, state.Z), q)
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+       st.lists(st.floats(20.0, 90.0), min_size=2, max_size=2),
+       st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3))
+def test_bisection_solves_the_local_step(Z, prices, start):
+    # the fallback after NEWTON_STEPS brackets every agent's root from any
+    # marginals and meets the same invariant as the Newton steps
+    com = build_community(triple_community_rows())
+    local = _LocalTerms.gather(com)
+    rho = _PairTerms.gather(com, np.zeros((3, 3))).gain
+    y = np.array([prices[0], prices[1], prices[0], prices[1]])
+    target = np.concatenate((rho * np.array(Z) + y, com.b))
+    inv_rho = np.concatenate((1.0 / rho, local.inv_a))
+    lam, terms = _bisect(np.array(start), target, inv_rho, local)
+    totals = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
+    assert np.abs(np.bincount(com.src, terms[:4], 3) - totals).max() <= ROOT_TOL
 
 
 def test_trade_update_inverse_gradient():
-    state = pair_state(y=[50.0, 50.0])
-    assert trade_step(state)[0] == pytest.approx(300.0)
+    # at the consensus Z = 300 MW and the clearing price 50, the producer's
+    # best response (50 - 20)/0.1 = 300 MW is a fixed point
+    state = pair_state(y=[50.0, 50.0], Z=[300.0, -300.0])
+    assert local_step(state)[1][0] == pytest.approx(300.0)
 
 
 def test_trade_update_projects_producer():
-    # price below marginal cost at zero output: candidate negative, clipped
-    state = pair_state(y=[10.0, 10.0])
-    assert trade_step(state)[0] == 0.0
+    # price below marginal cost at zero output: the producer's proposal is
+    # clipped to zero
+    state = pair_state(y=[10.0, 10.0], Z=[0.0, 0.0])
+    assert local_step(state)[1][0] == 0.0
 
 
 def test_trade_update_keeps_consumer_sign():
-    state = pair_state(y=[50.0, 50.0])
-    assert trade_step(state)[1] == pytest.approx(-300.0)
+    # from Z = 0 at price 50 the consumer buys (50 - 80)/0.2 = -150 MW
+    state = pair_state(y=[50.0, 50.0], Z=[0.0, 0.0])
+    assert local_step(state)[1][1] == pytest.approx(-150.0)
 
 
 def coordinator_step(P):
@@ -293,7 +361,8 @@ def test_nan_gamma_rejected(pair_community):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_unpartnered_agent_clears_without_warnings():
-    # agent 3 has no partner; its weight row must not be computed as 0/0
+    # agent 3 has no partner: its local step has only its own total, boxed
+    # to [0, 0], and must raise no warning
     com = build_community(triple_community_rows(), partners=[(1, 2)])
     result = clear_market(com)
     assert result.converged
@@ -374,6 +443,14 @@ def test_harsh_community_converges():
     engine_obj = market_objective(com, result.trades, gamma)
     oracle_obj = market_objective(com, qp_reference(com, gamma).trades, gamma)
     assert abs(engine_obj - oracle_obj) <= 1e-3 * max(abs(oracle_obj), 1.0)
+
+
+def test_harsh_population_converges():
+    # 300 communities of the harsher population, each at the default
+    # settings: every one must converge, none may stop at the cap
+    stalled = [k for k, (com, gamma) in zip(range(300), harsh_communities())
+               if not clear_market(com, gamma).converged]
+    assert stalled == []
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
@@ -564,7 +641,7 @@ def test_determinism():
 # Iterations of the four bundled scenarios at their own settings. A change
 # meant only to make the loop faster must leave the negotiation alone, so
 # these move only with a deliberate change to its dynamics.
-SCENARIO_ITERATIONS = {"free": 228, "unique": 279, "distance": 611, "zonal": 279}
+SCENARIO_ITERATIONS = {"free": 47, "unique": 62, "distance": 72, "zonal": 66}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_ITERATIONS))

@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, acceptance_7_markets, make_pair_community
+from conftest import DATA_DIR, acceptance_7_markets, harsh_communities, make_pair_community
 from peermarket import (
-    CONSUMER,
     DISTANCE,
     DistanceMatrix,
     InfeasibleError,
-    PRODUCER,
     PolicySpec,
-    UNIQUE,
     ValidationError,
     bisection_clearing,
     build_community,
@@ -25,7 +22,6 @@ from peermarket import (
     qp_reference,
     social_welfare,
 )
-from peermarket.community import check_feasible
 from peermarket.distances import POWER_TRANSFER
 from peermarket.oracle import PROJECTION_TOL, _project_feasible
 
@@ -300,34 +296,6 @@ def test_qp_newton_steps_stay_warm(bundled_qps, name, cap):
     # each kind of projection warm-starts from its own last multipliers; a
     # start from the other step's multipliers took 425 and 203 steps here
     assert 0 < bundled_qps[name].newton_steps <= cap
-
-
-def harsh_communities():
-    """Random 2-12 agent communities with strongly varied curvature a, and
-    consumers that must buy a minimum half the time, each with a unique fee
-    and skipped when infeasible: a harder test of the projections' warm
-    starts than acceptance 7."""
-    rng = np.random.default_rng(7)
-    while True:
-        n = int(rng.integers(2, 13))
-        n_producers = int(rng.integers(1, n))
-        rows = []
-        for i in range(n):
-            a = float(np.exp(rng.uniform(np.log(0.01), 0.0)))
-            b = float(rng.uniform(15, 85))
-            if i < n_producers:
-                role, p_min, p_max = PRODUCER, 0.0, float(rng.uniform(50, 500))
-            else:
-                role, p_min = CONSUMER, -float(rng.uniform(50, 500))
-                p_max = -float(rng.uniform(0, -p_min)) if rng.random() < 0.5 else 0.0
-            rows.append((i + 1, i + 1, role, a, b, 0.0, p_min, p_max))
-        fee = float(rng.uniform(0, 30))
-        com = build_community(rows)
-        try:
-            check_feasible(com)
-        except InfeasibleError:
-            continue
-        yield com, build_gamma(PolicySpec(UNIQUE, fee), com)
 
 
 def test_qp_converges_on_harsh_community():
