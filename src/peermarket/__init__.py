@@ -19,7 +19,6 @@ from .community import (
     save_agents,
 )
 from .distances import (
-    DistanceMatrix,
     METRICS,
     PathResult,
     POWER_TRANSFER,
@@ -90,7 +89,6 @@ __all__ = [
     "ClearingResult",
     "Community",
     "DISTANCE",
-    "DistanceMatrix",
     "FREE",
     "FeeRecommendation",
     "FlowResult",

@@ -198,6 +198,8 @@ def cmd_run(args):
 
 
 def _fee_grid(args, parser):
+    if not np.isfinite([args.fee_min, args.fee_max, args.step]).all():
+        parser.error("--fee-min, --fee-max and --step must be finite")
     if args.step <= 0:
         parser.error("--step must be positive")
     if args.fee_min > args.fee_max:
@@ -253,7 +255,7 @@ def cmd_distances(args):
             raise ValidationError("--matrix needs --agents to know the market participants")
         community = load_agents(args.agents, network=network)
         matrix = distance_matrix(community, network, args.metric)
-        reports.write_distance_matrix(args.matrix, community, matrix.values, args.metric)
+        reports.write_distance_matrix(args.matrix, community, matrix, args.metric)
         print(f"matrix in {args.matrix}")
     return 0
 

@@ -6,7 +6,12 @@ Agents file grammar (version 1): delimited text with header
 
 Costs are f_n(P) = a/2 P^2 + b P + c with P in MW (negative for consumers).
 Producers satisfy 0 <= p_min <= p_max, consumers p_min <= p_max <= 0, so a
-consumer with p_max < 0 is obliged to buy at least |p_max|.
+consumer with p_max < 0 is obliged to buy at least |p_max|. Costs and
+bounds must be finite.
+
+Partnerships are undirected producer-consumer pairs of agent ids. A
+Community holds them only as its ordered pair list (``src``, ``dst``,
+``rev``), the form the engine and every per-pair array read.
 """
 
 from __future__ import annotations
@@ -38,17 +43,20 @@ class Agent:
     c: float
     p_min: float
     p_max: float
-    partners: frozenset
 
 
 class Community:
     """Validated agent collection with a fixed canonical ordering (file order).
 
-    Pair e of the row-major partnered-pair list is agent ``src[e]`` trading
-    with agent ``dst[e]``, and ``rev[e]`` is the pair of the opposite side;
-    every per-pair array of the package uses this order."""
+    partners is an optional iterable of undirected (id, id) pairs, each
+    joining a producer and a consumer; by default every agent partners with
+    all agents of the opposite role. Pair e of the row-major partnered-pair
+    list is agent ``src[e]`` trading with agent ``dst[e]``, and ``rev[e]``
+    is the pair of the opposite side; every per-pair array of the package
+    uses this order. A pair listed twice, in either orientation, is one
+    partnership."""
 
-    def __init__(self, agents):
+    def __init__(self, agents, partners=None):
         self.agents = tuple(agents)
         self._pos = {agent.id: i for i, agent in enumerate(self.agents)}
         self._validate()
@@ -58,11 +66,18 @@ class Community:
         self.p_min = np.array([ag.p_min for ag in self.agents])
         self.p_max = np.array([ag.p_max for ag in self.agents])
         self.sign = np.array([1.0 if ag.role == PRODUCER else -1.0 for ag in self.agents])
-        pairs = [(i, j) for i, agent in enumerate(self.agents)
-                 for j in sorted(self._pos[partner] for partner in agent.partners)]
-        self.src, self.dst = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-        # partnerships are symmetric, so sorted by (dst, src) the pairs list
-        # each pair's opposite side
+        if partners is None:
+            self.src, self.dst = np.nonzero(self.sign[:, None] != self.sign[None, :])
+        else:
+            n = len(self.agents)
+            keys = []
+            for pair in partners:
+                i, j = self._partner_positions(*pair)
+                keys += (i * n + j, j * n + i)
+            # unique keys drop repeated pairs and sort the list row-major
+            self.src, self.dst = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
+        # both orientations of every pair are listed, so sorted by (dst, src)
+        # the pairs list each pair's opposite side
         self.rev = np.lexsort((self.src, self.dst))
 
     def _validate(self):
@@ -80,6 +95,9 @@ class Community:
                 if not math.isfinite(getattr(agent, name)):
                     raise ValidationError(
                         f"agent {agent.id}: cost coefficient {name} must be finite")
+            for name in ("p_min", "p_max"):
+                if not math.isfinite(getattr(agent, name)):
+                    raise ValidationError(f"agent {agent.id}: bound {name} must be finite")
             if agent.role == PRODUCER and not 0 <= agent.p_min <= agent.p_max:
                 raise ValidationError(
                     f"agent {agent.id}: producer bounds need 0 <= p_min <= p_max, "
@@ -88,23 +106,20 @@ class Community:
                 raise ValidationError(
                     f"agent {agent.id}: consumer bounds need p_min <= p_max <= 0, "
                     f"got [{agent.p_min}, {agent.p_max}]")
-            if agent.id in agent.partners:
-                raise ValidationError(f"agent {agent.id} lists itself as a partner")
-            for partner in agent.partners:
-                if partner not in self._pos:
-                    raise ValidationError(
-                        f"agent {agent.id} references unknown partner {partner}")
-        for agent in self.agents:
-            for partner in agent.partners:
-                other = self.agents[self._pos[partner]]
-                if agent.id not in other.partners:
-                    raise ValidationError(
-                        f"partnership not symmetric: {agent.id} -> {partner}")
-                # two sellers or two buyers: their sign boxes never face
-                if other.role == agent.role:
-                    raise ValidationError(
-                        f"partnership ({agent.id}, {partner}) joins two {agent.role}s, "
-                        "which can never trade")
+
+    def _partner_positions(self, first, second):
+        """Positions of the two agents of one listed partnership."""
+        if first == second:
+            raise ValidationError(f"agent {first} cannot partner with itself")
+        if first not in self._pos or second not in self._pos:
+            raise ValidationError(f"partnership ({first}, {second}) references an unknown agent")
+        i, j = self._pos[first], self._pos[second]
+        # two sellers or two buyers: their sign boxes never face
+        if self.sign[i] == self.sign[j]:
+            raise ValidationError(
+                f"partnership ({first}, {second}) joins two {self.agents[i].role}s, "
+                "which can never trade")
+        return i, j
 
     def __len__(self):
         return len(self.agents)
@@ -155,30 +170,9 @@ def validate_gamma(community, gamma):
 
 
 def build_community(rows, partners=None):
-    """Assemble a Community from (id, bus, role, a, b, c, p_min, p_max) tuples.
-
-    partners is an optional iterable of undirected (id, id) pairs, each
-    joining a producer and a consumer; by default every agent partners with
-    all agents of the opposite role.
-    """
-    ids = [row[0] for row in rows]
-    roles = {row[0]: row[2] for row in rows}
-    if partners is None:
-        partner_sets = {
-            i: frozenset(j for j in ids if roles.get(j) != roles.get(i)) for i in ids}
-    else:
-        sets = {i: set() for i in ids}
-        for pair in partners:
-            n, m = pair
-            if n == m:
-                raise ValidationError(f"agent {n} cannot partner with itself")
-            if n not in sets or m not in sets:
-                raise ValidationError(f"partnership ({n}, {m}) references an unknown agent")
-            sets[n].add(m)
-            sets[m].add(n)
-        partner_sets = {i: frozenset(s) for i, s in sets.items()}
-    agents = [Agent(*row, partners=partner_sets[row[0]]) for row in rows]
-    return Community(agents)
+    """Assemble a Community from (id, bus, role, a, b, c, p_min, p_max)
+    tuples; partners as for ``Community``."""
+    return Community([Agent(*row) for row in rows], partners)
 
 
 def _data_rows(path):

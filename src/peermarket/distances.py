@@ -5,6 +5,8 @@ Thevenin impedance seen between its endpoints and measures shortest-path
 length under those weights. The power-transfer metric sums, over all lines,
 the absolute PTDF response to a 1 MW trade between the two buses; it is the
 better behaved choice on meshed grids. Both are dimensionless and symmetric.
+The agent matrices, ``distance_matrix`` and ``zone_crossing_matrix``, are
+plain N x N arrays in community order.
 
 Every grid quantity here is computed from the network's index arrays (see
 ``Network``). Shortest paths come from one all-pairs length matrix per call
@@ -32,12 +34,6 @@ class PathResult:
     nodes: tuple
     total_weight: float
     zones_visited: tuple
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    metric: str
-    values: np.ndarray
 
 
 def default_reference_bus(network):
@@ -156,7 +152,8 @@ def zones_crossed(path, network):
 
 
 def distance_matrix(community, network, metric):
-    """Pairwise agent distances; agents sharing a bus are at distance 0."""
+    """Pairwise agent distances as an N x N array in community order; agents
+    sharing a bus are at distance 0."""
     if metric not in METRICS:
         raise ValidationError(f"unknown distance metric {metric!r}")
     buses, agent_pos = np.unique(agent_buses(community, network), return_inverse=True)
@@ -168,7 +165,7 @@ def distance_matrix(community, network, metric):
     else:
         _, lengths = _shortest_lengths(network, thevenin_line_weights(network))
         lengths = lengths[np.ix_(buses, buses)]
-    return DistanceMatrix(metric=metric, values=lengths[np.ix_(agent_pos, agent_pos)])
+    return lengths[np.ix_(agent_pos, agent_pos)]
 
 
 def zone_crossing_matrix(community, network):

@@ -14,8 +14,10 @@ Grid file grammar (version 1)::
 
 ``version`` and ``base_mva`` are key/value lines outside any section.
 Reactances are per-unit series reactances on the system base; capacities are
-MW thermal limits. Parallel lines between the same bus pair are allowed. The
-graph must be connected and zone labels must cover 1..max(zone) without gaps.
+MW thermal limits. No result depends on the base, so the optional
+``base_mva`` line is only checked to be positive and finite. Parallel lines
+between the same bus pair are allowed. The graph must be connected and zone
+labels must cover 1..max(zone) without gaps.
 """
 
 from __future__ import annotations
@@ -57,15 +59,13 @@ class Network:
     Immutable after construction; safe to share between threads.
     """
 
-    def __init__(self, buses, lines, base_power=100.0):
+    def __init__(self, buses, lines):
         self.buses = tuple(buses)
         self.lines = tuple(lines)
-        self.base_power = float(base_power)
         self._pos = {bus.id: i for i, bus in enumerate(self.buses)}
         self._validate()
         self.ids = np.array([bus.id for bus in self.buses], dtype=np.int64)
         self.zones = np.array([bus.zone for bus in self.buses])
-        self.zone_count = int(self.zones.max())
         self.line_from = np.array([self._pos[line.from_bus] for line in self.lines], dtype=np.intp)
         self.line_to = np.array([self._pos[line.to_bus] for line in self.lines], dtype=np.intp)
         self.reactance = np.array([line.reactance for line in self.lines], dtype=float)
@@ -86,8 +86,6 @@ class Network:
             raise ValidationError("duplicate bus ids in network")
         if not all(-2**63 <= bus.id < 2**63 for bus in self.buses):
             raise ValidationError("bus ids must fit in 64 bits")
-        if not 0.0 < self.base_power < math.inf:  # also rejects NaN
-            raise ValidationError("base_mva must be positive and finite")
         for line in self.lines:
             if not 0.0 < line.reactance < math.inf:
                 raise ValidationError(
@@ -175,7 +173,6 @@ def _tokenize(path):
 
 def load_network(path):
     """Parse and validate a ``.net`` grid file."""
-    base_mva = 100.0
     version = None
     buses = []
     lines = []
@@ -194,7 +191,9 @@ def load_network(path):
             if key == "version":
                 version = value
             elif key == "base_mva":
-                base_mva = _parse_float(value, path, lineno, "base_mva")
+                # every grid quantity is in per unit or MW: the base is checked, not kept
+                if not _parse_float(value, path, lineno, "base_mva") > 0.0:
+                    raise ValidationError(f"{path}:{lineno}: base_mva must be positive")
             else:
                 raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
         elif section == "[buses]":
@@ -216,15 +215,14 @@ def load_network(path):
         raise ValidationError(f"{path}: missing 'version' line")
     if version != str(FORMAT_VERSION):
         raise ValidationError(f"{path}: unsupported network format version {version}")
-    return Network(buses, lines, base_power=base_mva)
+    return Network(buses, lines)
 
 
 def save_network(network, path):
     """Serialize a network in the ``.net`` grammar (round-trips with load_network)."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("# peermarket network v1\n")
-        handle.write(f"version {FORMAT_VERSION}\n")
-        handle.write(f"base_mva {network.base_power!r}\n\n")
+        handle.write(f"version {FORMAT_VERSION}\n\n")
         handle.write("[buses]\n")
         for bus in network.buses:
             handle.write(f"{bus.id} {bus.zone}\n")

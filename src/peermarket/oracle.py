@@ -28,6 +28,7 @@ from .errors import InfeasibleError, ValidationError
 BISECTION_BALANCE_TOL = 1e-6   # MW
 PROJECTION_TOL = 1e-8          # MW
 STATIONARITY_TOL = 1e-4        # €/MW
+QP_MAX_ITERATIONS = 20000      # projected-gradient steps
 _EMPTY = "feasible set is empty: the partnered pairs cannot meet the producer and consumer bounds"
 
 
@@ -221,7 +222,7 @@ def _project_feasible(v, lo, hi, x, max_steps=20000):
     raise InfeasibleError("feasible-set projection did not converge; check bounds")
 
 
-def qp_reference(community, gamma, max_iterations=20000):
+def qp_reference(community, gamma):
     """Reference optimum for an arbitrary gamma matrix.
 
     Variables are nonnegative producer-to-consumer MW, zero on unpartnered
@@ -279,7 +280,7 @@ def qp_reference(community, gamma, max_iterations=20000):
     history = [value]
     tau = base_step
     stationarity = np.inf
-    for _ in range(max_iterations):
+    for _ in range(QP_MAX_ITERATIONS):
         fixed, fixed_x = project(t - base_step * grad, fixed_x)
         stationarity = float(np.max(np.abs(fixed - t)) / base_step)
         if stationarity <= STATIONARITY_TOL:

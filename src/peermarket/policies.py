@@ -10,16 +10,19 @@ between the two sides of a trade, hence the /2 in every formula:
     distance  |gamma_nm| = u * d_nm / 2      (d_nm electrical distance)
     zonal     |gamma_nm| = u * N_nm / 2      (N_nm zones crossed)
 
-The free policy is gamma = 0.
+The free policy is gamma = 0. Every gamma is the fee times the gamma at
+u = 1, exactly in floating point (halving and a sign are exact), so a fee
+sweep builds that unit matrix once and scales it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import POWER_TRANSFER, distance_matrix, zone_crossing_matrix
+from .distances import METRICS, POWER_TRANSFER, distance_matrix, zone_crossing_matrix
 from .errors import ValidationError
 
 FREE = "free"
@@ -38,16 +41,23 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown policy kind {self.kind!r}")
-        if self.fee < 0:
-            raise ValidationError("network fee must be nonnegative")
+        if self.metric not in METRICS:
+            raise ValidationError(f"unknown distance metric {self.metric!r}")
+        check_fee(self.fee)
+
+
+def check_fee(fee):
+    """Raise ValidationError unless the network fee is finite and nonnegative."""
+    if not 0.0 <= fee < math.inf:  # also rejects NaN
+        raise ValidationError(f"network fee must be nonnegative and finite, got {fee}")
 
 
 def build_gamma(policy, community, network=None, distances=None, zone_counts=None):
     """Product differentiation price matrix for a community.
 
-    The distance policy needs a DistanceMatrix (or a network to compute one
-    with policy.metric); the zonal policy needs a zone-crossing matrix (or a
-    network). Entries vanish outside the partnership mask.
+    The distance policy needs an agent distance matrix (or a network to
+    compute one with policy.metric); the zonal policy needs a zone-crossing
+    matrix (or a network). Entries vanish outside the partnership mask.
     """
     n = len(community.agents)
     mask = community.partner_mask()
@@ -60,7 +70,7 @@ def build_gamma(policy, community, network=None, distances=None, zone_counts=Non
             if network is None:
                 raise ValidationError("distance policy needs a distance matrix or a network")
             distances = distance_matrix(community, network, policy.metric)
-        magnitude = policy.fee * distances.values / 2.0
+        magnitude = policy.fee * distances / 2.0
     else:
         if zone_counts is None:
             if network is None:

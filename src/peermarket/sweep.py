@@ -8,13 +8,12 @@ recorded, not raised; the sweep continues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .distances import distance_matrix, zone_crossing_matrix
 from .engine import SolverConfig, clear_market
 from .errors import ValidationError
 from .network import net_injections
-from .policies import DISTANCE, FREE, PolicySpec, ZONAL, build_gamma, total_collected
+from .policies import FREE, build_gamma, check_fee, total_collected
 from .powerflow import dc_power_flow, interzone_exchange, line_rates
 
 MAX_RATE_TARGET = "max_line_rate"
@@ -49,8 +48,8 @@ def run_sweep(community, network, policy, fees, config=None, rates_out=None):
     """One independent clear_market per fee; records in grid order.
 
     policy fixes the kind and metric, its fee field is ignored in favor of
-    the grid. Distance matrices and zone counts are computed once and
-    shared, which changes nothing: gamma is homogeneous in the fee.
+    the grid. The fee matrix is built once at fee 1 and scaled at each
+    fee, which is bit for bit build_gamma's matrix at that fee (see policies).
     rates_out, when given a list, collects (fee, per-line rates) pairs for
     the rate-distribution export.
     """
@@ -59,23 +58,16 @@ def run_sweep(community, network, policy, fees, config=None, rates_out=None):
         raise ValidationError("empty fee grid")
     if any(b <= a for a, b in zip(fees, fees[1:])):
         raise ValidationError("fee grid must be strictly increasing")
+    for fee in fees:
+        check_fee(fee)
     if policy.kind == FREE:
         raise ValidationError("sweeping the free policy is a single point; pick a fee policy")
     config = config or SolverConfig()
 
-    distances = None
-    zone_counts = None
-    if policy.kind == DISTANCE:
-        distances = distance_matrix(community, network, policy.metric)
-    elif policy.kind == ZONAL:
-        zone_counts = zone_crossing_matrix(community, network)
-
+    unit = build_gamma(replace(policy, fee=1.0), community, network=network)
     records = []
     for fee in fees:
-        spec = PolicySpec(policy.kind, fee=fee, metric=policy.metric)
-        gamma = build_gamma(
-            spec, community, network=network, distances=distances, zone_counts=zone_counts
-        )
+        gamma = fee * unit
         result = clear_market(community, gamma, config)
         injections = net_injections(community, result.net_powers, network)
         flows = dc_power_flow(network, injections)

@@ -6,6 +6,7 @@ from importlib.resources import files
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from peermarket import (
     CONSUMER,
@@ -118,6 +119,50 @@ def harsh_communities():
         except InfeasibleError:
             continue
         yield com, build_gamma(PolicySpec(UNIQUE, fee), com)
+
+
+# Fuzzing the text parsers: each edit of a bundled file's data rows drops a
+# field, adds the token as a field, puts the token in a field, duplicates or
+# deletes the row, or inserts the token as a row of its own. Tokens may hold
+# a lone surrogate, written out as a byte that is not UTF-8.
+EDIT_ACTIONS = ("drop", "add", "replace", "duplicate", "delete", "insert")
+
+
+def row_edits(lines, tokens):
+    """Hypothesis strategy: one to three edits of the data rows of lines."""
+    rows = [k for k, row in enumerate(lines) if row.strip() and not row.startswith("#")]
+    return st.lists(st.tuples(st.sampled_from(rows), st.sampled_from(EDIT_ACTIONS),
+                              st.integers(0, 7), st.sampled_from(tokens)),
+                    min_size=1, max_size=3)
+
+
+def mutate(rows, edits, sep=None):
+    """rows after the edits; fields are split on sep (whitespace by default)."""
+    for row, action, field, token in edits:
+        row %= len(rows)
+        fields = rows[row].split(sep)
+        if action == "drop" and fields:
+            del fields[field % len(fields)]
+        elif action == "add":
+            fields.append(token)
+        elif action == "replace" and fields:
+            fields[field % len(fields)] = token
+        elif action == "duplicate":
+            rows = rows[:row + 1] + rows[row:]
+            continue
+        elif action == "delete":
+            rows = rows[:row] + rows[row + 1:]
+            continue
+        elif action == "insert":
+            rows = rows[:row + 1] + [token] + rows[row + 1:]
+            continue
+        rows = rows[:row] + [(sep or " ").join(fields)] + rows[row + 1:]
+    return rows
+
+
+def write_rows(path, rows):
+    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+    return str(path)
 
 
 # Acceptance results are echoed in one block at the end of the run so the

@@ -306,6 +306,39 @@ def test_sweep_rejects_bad_grid(tmp_path, free_scenario):
                "--output", str(tmp_path / "o")) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--fee-min", "nan"), ("--fee-max", "inf"),
+                                         ("--step", "nan")])
+def test_sweep_rejects_non_finite_grid(tmp_path, free_scenario, capsys, flag, value):
+    grid = {"--fee-min": "0", "--fee-max": "10", "--step": "5", flag: value}
+    assert cli("sweep", free_scenario, "--policy", "unique", *sum(grid.items(), ()),
+               "--output", str(tmp_path / "o")) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_negative_fee(tmp_path, free_scenario, capsys):
+    assert cli("sweep", free_scenario, "--policy", "unique", "--fee-min", "-5",
+               "--fee-max", "5", "--step", "5", "--output", str(tmp_path / "o")) == 2
+    assert "network fee must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fee", ["nan", "inf", "-1"])
+def test_bad_fee_exits_2(tmp_path, free_scenario, capsys, fee):
+    assert cli("run", free_scenario, "--fee", fee, "--output", str(tmp_path / "o")) == 2
+    assert "network fee must be nonnegative and finite" in capsys.readouterr().err
+
+
+def test_non_finite_agent_bound_exits_2(tmp_path, capsys):
+    agents = tmp_path / "agents.csv"
+    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                      "1,30,producer,0.1,20,0,0,100\n"
+                      "2,1,consumer,0.1,80,0,-inf,0\n")
+    scenario = tmp_path / "case.ini"
+    scenario.write_text(f"[network]\npath = {NETWORK_FILE}\n\n"
+                        f"[agents]\npath = {agents}\n\n[policy]\nkind = free\n")
+    assert cli("run", str(scenario), "--output", str(tmp_path / "out")) == 2
+    assert "bound p_min must be finite" in capsys.readouterr().err
+
+
 def _not_utf8(path, text):
     """``text`` followed by a line holding byte 0xff, which UTF-8 never uses."""
     path.write_bytes(text.encode("utf-8") + b"\xff\n")

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import AGENTS_FILE, mutate, row_edits, write_rows
 from peermarket import (
     CONSUMER,
     PRODUCER,
+    Community,
     ValidationError,
     build_community,
     load_agents,
@@ -142,6 +147,19 @@ def test_nan_fixed_cost_rejected():
         ])
 
 
+@pytest.mark.parametrize("producer, consumer, name", [
+    ((0.0, float("inf")), (-100.0, 0.0), "p_max"),
+    ((float("nan"), 100.0), (-100.0, 0.0), "p_min"),
+    ((0.0, 100.0), (float("-inf"), 0.0), "p_min"),
+])
+def test_non_finite_bound_rejected(producer, consumer, name):
+    with pytest.raises(ValidationError, match=f"bound {name} must be finite"):
+        build_community([
+            (1, 1, PRODUCER, 0.1, 20.0, 0.0, *producer),
+            (2, 2, CONSUMER, 0.1, 80.0, 0.0, *consumer),
+        ])
+
+
 def test_agents_file_with_nan_cost_rejected(tmp_path):
     path = tmp_path / "agents.csv"
     path.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
@@ -200,3 +218,25 @@ def test_self_partnership_rejected():
     ]
     with pytest.raises(ValidationError):
         build_community(rows, partners=[(1, 1)])
+
+
+# Tokens for the fuzz: garbage, non-finite and negative numbers, a huge
+# integer, a duplicate id (1), an unknown bus (99), both roles, a stray
+# quote, a NUL and a byte that is not UTF-8.
+AGENT_ROWS = Path(AGENTS_FILE).read_text(encoding="utf-8").splitlines()
+AGENT_TOKENS = ["x", "1.5.2", "nan", "inf", "-inf", "-0.1", "0", "1e400", "1", "99",
+                "99999999999999999999", "producer", "consumer", '"', "\x00", "\udcff"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_edits(AGENT_ROWS, AGENT_TOKENS))
+def test_parser_fuzz_fails_only_with_validation_error(tmp_path_factory, network, edits):
+    path = write_rows(tmp_path_factory.getbasetemp() / "mutated.csv",
+                      mutate(AGENT_ROWS, edits, sep=","))
+    try:
+        community = load_agents(path, network=network)
+    except ValidationError:
+        return
+    assert isinstance(community, Community)
+    values = (community.a, community.b, community.c, community.p_min, community.p_max)
+    assert np.isfinite(np.concatenate(values)).all()

@@ -117,7 +117,7 @@ def test_power_transfer_corridor(network):
 
 def test_power_transfer_matches_matrix(community, network):
     # the scalar distance solves for one trade; the matrix reads the PTDF
-    matrix = distance_matrix(community, network, POWER_TRANSFER).values
+    matrix = distance_matrix(community, network, POWER_TRANSFER)
     buses = [agent.bus for agent in community.agents]
     for i, j in zip(*np.triu_indices(len(buses), 1)):
         if buses[i] != buses[j]:
@@ -136,10 +136,9 @@ def test_power_transfer_two_bus():
 def test_distance_matrix_shape_properties(community, network):
     for metric in METRICS:
         dm = distance_matrix(community, network, metric)
-        assert dm.metric == metric
-        assert np.allclose(dm.values, dm.values.T)
-        assert not dm.values.diagonal().any()
-        assert dm.values.min() >= 0.0
+        assert np.allclose(dm, dm.T)
+        assert not dm.diagonal().any()
+        assert dm.min() >= 0.0
 
 
 def test_colocated_agents_have_zero_distance(community, network):
@@ -147,7 +146,7 @@ def test_colocated_agents_have_zero_distance(community, network):
     i = community.index_of(21)
     j = community.index_of(31)
     for metric in METRICS:
-        assert distance_matrix(community, network, metric).values[i, j] == 0.0
+        assert distance_matrix(community, network, metric)[i, j] == 0.0
 
 
 def test_distance_matrix_corridor_entry(community, network):
@@ -155,7 +154,7 @@ def test_distance_matrix_corridor_entry(community, network):
     i = community.index_of(ids_at[16])
     j = community.index_of(ids_at[39])
     dm = distance_matrix(community, network, POWER_TRANSFER)
-    assert dm.values[i, j] == pytest.approx(7.3, abs=0.2)
+    assert dm[i, j] == pytest.approx(7.3, abs=0.2)
 
 
 def test_unknown_metric_rejected(community, network):
@@ -164,7 +163,7 @@ def test_unknown_metric_rejected(community, network):
 
 
 def test_thevenin_triangle_inequality(community, network):
-    d = distance_matrix(community, network, THEVENIN).values
+    d = distance_matrix(community, network, THEVENIN)
     n = d.shape[0]
     for k in range(n):
         detour = d[:, k:k + 1] + d[k:k + 1, :]
@@ -204,7 +203,7 @@ def test_thevenin_matrix_matches_bellman_ford(community, network):
     # reference: relax every line once per bus from each agent bus; it sums
     # along each path from its source, so it may differ in the last bit
     weights = thevenin_line_weights(network)
-    values = distance_matrix(community, network, THEVENIN).values
+    values = distance_matrix(community, network, THEVENIN)
     for i, agent in enumerate(community.agents):
         dist = {bus.id: np.inf for bus in network.buses}
         dist[agent.bus] = 0.0
@@ -226,7 +225,7 @@ def test_colocated_distance_on_toy():
         (2, 1, "consumer", 0.1, 80.0, 0.0, -100.0, 0.0),
     ])
     dm = distance_matrix(com, two_bus(), POWER_TRANSFER)
-    assert dm.values[0, 1] == 0.0
+    assert dm[0, 1] == 0.0
 
 
 def test_parallel_lines():

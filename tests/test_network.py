@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from peermarket import (
     ValidationError,
@@ -15,7 +15,7 @@ from peermarket import (
 )
 from peermarket.network import Bus, Line, Network
 
-from conftest import NETWORK_FILE
+from conftest import NETWORK_FILE, mutate, row_edits, write_rows
 
 TWO_BUS = """\
 version 1
@@ -39,7 +39,6 @@ def write_net(tmp_path, text, name="toy.net"):
 def test_bundled_case_dimensions(network):
     assert network.n_buses == 39
     assert len(network.lines) == 46
-    assert network.base_power == 100.0
 
 
 def test_bundled_zones_cover_four_labels(network):
@@ -90,7 +89,6 @@ def test_round_trip(tmp_path, network):
     assert [(b.id, b.zone) for b in again.buses] == [(b.id, b.zone) for b in network.buses]
     assert [(l.from_bus, l.to_bus, l.reactance, l.capacity) for l in again.lines] == \
            [(l.from_bus, l.to_bus, l.reactance, l.capacity) for l in network.lines]
-    assert again.base_power == network.base_power
 
 
 def test_susceptance_two_bus(tmp_path):
@@ -177,9 +175,17 @@ def test_nonfinite_capacity_rejected(value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_nonfinite_base_power_rejected(value):
-    with pytest.raises(ValidationError, match="base_mva"):
-        Network([Bus(1, 1), Bus(2, 1)], [Line(1, 1, 2, 0.1, 100.0)], base_power=value)
+def test_nonfinite_base_power_rejected(tmp_path, value):
+    bad = TWO_BUS.replace("base_mva 100.0", f"base_mva {value}")
+    with pytest.raises(ValidationError, match="base_mva must be finite"):
+        load_network(write_net(tmp_path, bad))
+
+
+@pytest.mark.parametrize("value", ["0", "-100.0"])
+def test_nonpositive_base_mva_rejected(tmp_path, value):
+    bad = TWO_BUS.replace("base_mva 100.0", f"base_mva {value}")
+    with pytest.raises(ValidationError, match="base_mva must be positive"):
+        load_network(write_net(tmp_path, bad))
 
 
 def test_bus_id_beyond_64_bits_rejected():
@@ -216,46 +222,21 @@ def test_reader_translates_newlines_like_text_mode(tmp_path):
     assert (crlf.buses, crlf.lines) == (bundled.buses, bundled.lines)
 
 
-# Mutations of the bundled file's rows: drop or add a field, put a token in a
-# field, or duplicate or delete the row. The tokens cover garbage, non-finite
-# and negative numbers, a duplicate id (1), an unknown bus (99), an id
-# beyond 64 bits and a byte that is not UTF-8 (written through
-# surrogateescape).
+# Tokens for the fuzz: garbage, non-finite and negative numbers, a
+# duplicate id (1), an unknown bus (99), an id beyond 64 bits, a section
+# header, a comment and a byte that is not UTF-8.
 BUNDLED_ROWS = Path(NETWORK_FILE).read_text(encoding="utf-8").splitlines()
-DATA_ROWS = [k for k, row in enumerate(BUNDLED_ROWS) if row.strip() and not row.startswith("#")]
 TOKENS = ["x", "1.5.2", "nan", "inf", "-inf", "-0.1", "0", "1e400", "1", "99",
           "99999999999999999999", "[lines]", "#", "\udcff"]
 
 
-def mutate(rows, row, action, field, token):
-    row %= len(rows)
-    fields = rows[row].split()
-    if action == "drop" and fields:
-        del fields[field % len(fields)]
-    elif action == "add":
-        fields.append(token)
-    elif action == "replace" and fields:
-        fields[field % len(fields)] = token
-    elif action == "duplicate":
-        return rows[:row + 1] + rows[row:]
-    elif action == "delete":
-        return rows[:row] + rows[row + 1:]
-    return rows[:row] + [" ".join(fields)] + rows[row + 1:]
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(DATA_ROWS),
-                          st.sampled_from(["drop", "add", "replace", "duplicate", "delete"]),
-                          st.integers(0, 3), st.sampled_from(TOKENS)),
-                min_size=1, max_size=3))
+@given(row_edits(BUNDLED_ROWS, TOKENS))
 def test_parser_fuzz_fails_only_with_validation_error(tmp_path_factory, edits):
-    rows = BUNDLED_ROWS
-    for edit in edits:
-        rows = mutate(rows, *edit)
-    path = tmp_path_factory.getbasetemp() / "mutated.net"
-    path.write_bytes(("\n".join(rows) + "\n").encode("utf-8", "surrogateescape"))
+    path = write_rows(tmp_path_factory.getbasetemp() / "mutated.net",
+                      mutate(BUNDLED_ROWS, edits))
     try:
-        net = load_network(str(path))
+        net = load_network(path)
     except ValidationError:
         return
     assert isinstance(net, Network)

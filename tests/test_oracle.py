@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR, acceptance_7_markets, harsh_communities, make_pair_community
 from peermarket import (
     DISTANCE,
-    DistanceMatrix,
     InfeasibleError,
     PolicySpec,
+    SolverConfig,
     ValidationError,
     bisection_clearing,
     build_community,
@@ -22,7 +22,6 @@ from peermarket import (
     qp_reference,
     social_welfare,
 )
-from peermarket.distances import POWER_TRANSFER
 from peermarket.oracle import PROJECTION_TOL, _project_feasible
 
 
@@ -123,8 +122,7 @@ def test_distance_charges_favour_close_partners():
         values[i, j] = values[j, i] = 10.0
     for i, j in ((0, 2), (1, 3)):
         values[i, j] = values[j, i] = 1.0
-    gamma = build_gamma(PolicySpec(DISTANCE, 2.0), com,
-                        distances=DistanceMatrix(POWER_TRANSFER, values))
+    gamma = build_gamma(PolicySpec(DISTANCE, 2.0), com, distances=values)
     qp = qp_reference(com, gamma)
     near = qp.trades[0, 2] + qp.trades[1, 3]
     far = qp.trades[0, 3] + qp.trades[1, 2]
@@ -159,7 +157,10 @@ def test_infeasible_bounds_rejected_by_qp():
 def test_qp_solves_partnered_market_with_forced_purchase():
     # consumer 4 must buy at least 100 MW and may buy only from producer 2.
     # The optimum is -9500 exactly: pair 1-3 clears 300 MW at price 50, and
-    # consumer 4's forced 100 MW come from producer 2.
+    # consumer 4's forced 100 MW come from producer 2. The stop rule lets a
+    # bound miss by up to eps_primal, and each MW short of the forced
+    # purchase lowers the objective by the pair's 5 EUR/MW wedge, so at
+    # 1e-4 MW the engine's objective is within 5e-4 EUR of the optimum.
     com = build_community([
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
         (2, 2, "producer", 0.1, 60.0, 0.0, 0.0, 500.0),
@@ -168,7 +169,7 @@ def test_qp_solves_partnered_market_with_forced_purchase():
     ], partners=[(1, 3), (2, 4)])
     gamma = np.zeros((4, 4))
     qp = qp_reference(com, gamma)
-    engine = clear_market(com, gamma)
+    engine = clear_market(com, gamma, SolverConfig(eps_primal=1e-4))
     assert engine.converged
     f_engine = market_objective(com, engine.trades, gamma)
     f_oracle = market_objective(com, qp.trades, gamma)

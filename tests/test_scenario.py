@@ -3,9 +3,20 @@ from __future__ import annotations
 import shutil
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE
-from peermarket import DISTANCE, FREE, UNIQUE, ZONAL, SolverConfig, ValidationError, load_scenario
+from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE, mutate, row_edits, write_rows
+from peermarket import (
+    DISTANCE,
+    FREE,
+    METRICS,
+    UNIQUE,
+    ZONAL,
+    Scenario,
+    SolverConfig,
+    ValidationError,
+    load_scenario,
+)
 
 
 def write_scenario(tmp_path, body, name="case.ini"):
@@ -161,3 +172,31 @@ def test_output_section(tmp_path):
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         load_scenario(str(tmp_path / "absent.ini"))
+
+
+# Tokens for the fuzz: garbage, non-finite and negative numbers, a huge
+# integer, stray brackets and separators, an unknown key, unknown and
+# repeated sections and a byte that is not UTF-8. distance.ini holds every
+# section a scenario may have but [output].
+SCENARIO_ROWS = (DATA_DIR / "distance.ini").read_text(encoding="utf-8").splitlines()
+SCENARIO_TOKENS = ["x", "nan", "inf", "-inf", "-1", "0", "1e400", "99999999999999999999",
+                   "=", "[", "]", "%", "\udcff", "colour = red", "[extra]", "[DEFAULT]",
+                   "[policy]", "fee = 1", "metric = thevenin", "verify = yes"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_edits(SCENARIO_ROWS, SCENARIO_TOKENS))
+def test_parser_fuzz_fails_only_with_validation_error(tmp_path_factory, edits):
+    directory = tmp_path_factory.getbasetemp() / "scenario_fuzz"
+    if not directory.exists():
+        directory.mkdir()
+        for source in (NETWORK_FILE, AGENTS_FILE):
+            shutil.copy(source, directory)
+    path = write_rows(directory / "mutated.ini", mutate(SCENARIO_ROWS, edits))
+    try:
+        scenario = load_scenario(path)
+    except ValidationError:
+        return
+    assert isinstance(scenario, Scenario)
+    assert 0.0 <= scenario.policy.fee < float("inf")
+    assert scenario.policy.metric in METRICS

@@ -34,6 +34,12 @@ def test_grid_must_increase(community, network):
         run_sweep(community, network, policy, [])
 
 
+@pytest.mark.parametrize("fees", [[-5.0, 0.0], [0.0, float("inf")], [float("nan")]])
+def test_grid_fees_must_be_finite_and_nonnegative(community, network, fees):
+    with pytest.raises(ValidationError, match="network fee must be nonnegative and finite"):
+        run_sweep(community, network, PolicySpec(UNIQUE), fees)
+
+
 def test_free_policy_not_sweepable(community, network):
     with pytest.raises(ValidationError):
         run_sweep(community, network, PolicySpec(FREE), [0.0, 1.0])
