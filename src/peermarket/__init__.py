@@ -30,11 +30,9 @@ from .distances import (
     shortest_path,
     thevenin_line_weights,
     zone_crossing_matrix,
-    zones_crossed,
 )
 from .engine import (
     ClearingResult,
-    MarketState,
     SolverConfig,
     clear_market,
     kkt_residual,
@@ -97,7 +95,6 @@ __all__ = [
     "Line",
     "MAX_RATE_TARGET",
     "METRICS",
-    "MarketState",
     "Network",
     "OracleResult",
     "PRODUCER",
@@ -147,5 +144,4 @@ __all__ = [
     "tie_line_flow",
     "total_collected",
     "zone_crossing_matrix",
-    "zones_crossed",
 ]

@@ -24,7 +24,6 @@ from .distances import (
     power_transfer_distance,
     shortest_path,
     thevenin_line_weights,
-    zones_crossed,
 )
 from .engine import SolverConfig, clear_market
 from .errors import InfeasibleError, ValidationError
@@ -44,6 +43,7 @@ from .scenario import load_scenario
 from .sweep import MAX_RATE_TARGET, REVENUE_TARGET, recommend_fee, run_sweep
 
 OUTPUT_ENV = "PEERMARKET_OUTPUT_DIR"
+MAX_FEE_POINTS = 10**6  # sweep grid points at most
 
 _SOLVER_FLAGS = [f.name for f in dataclasses.fields(SolverConfig)]
 
@@ -204,7 +204,11 @@ def _fee_grid(args, parser):
         parser.error("--step must be positive")
     if args.fee_min > args.fee_max:
         parser.error("--fee-min must not exceed --fee-max")
-    count = int(round((args.fee_max - args.fee_min) / args.step))
+    span = (args.fee_max - args.fee_min) / args.step
+    if not span + 1 <= MAX_FEE_POINTS:  # also catches a span that overflows to inf
+        parser.error(f"the fee grid would exceed {MAX_FEE_POINTS} points; "
+                     "raise --step or narrow the range")
+    count = int(round(span))
     fees = [args.fee_min + i * args.step for i in range(count + 1)]
     if fees[-1] > args.fee_max + 1e-9:
         fees.pop()
@@ -249,7 +253,7 @@ def cmd_distances(args):
         path = shortest_path(network, weights, args.from_bus, args.to_bus)
         print(f"thevenin distance {args.from_bus}-{args.to_bus}: {path.total_weight:.6f}")
         print("path: " + " ".join(str(b) for b in path.nodes))
-        print(f"zones crossed: {zones_crossed(path, network)}")
+        print(f"zones crossed: {len(path.zones_visited)}")
     if args.matrix:
         if not args.agents:
             raise ValidationError("--matrix needs --agents to know the market participants")

@@ -146,11 +146,6 @@ def power_transfer_distance(network, bus_n, bus_m):
     return float(np.abs(flows).sum())
 
 
-def zones_crossed(path, network):
-    """Distinct zones among the path's nodes; 1 for an intra-zone trade."""
-    return len(path.zones_visited)
-
-
 def distance_matrix(community, network, metric):
     """Pairwise agent distances as an N x N array in community order; agents
     sharing a bus are at distance 0."""

@@ -44,19 +44,23 @@ a traded pair the stationarity a p + b + mu - (y - gamma) is then rho
 
 The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
-partners and made reciprocal (``MarketState.initial``).
+partners and made reciprocal (``_opening``).
 
-The state lives on the community's edge list, one entry per partnered
-ordered pair; trades, proposals and prices become N x N matrices at the end.
-The per-pair and per-agent constants are gathered once per market
-(``_PairTerms``, ``_LocalTerms``). All per-agent updates within one
+The state is ``clear_market``'s own locals on the community's pair list,
+one entry per partnered ordered pair: the proposals P, the coordinator copy
+Z and the prices y, with ``P[community.rev]`` the transpose, plus each
+agent's marginal lambda, which warm-starts its next local step, and the
+penalty scale s. The stop check reads the accepted trades and their net
+powers on the same list; trades, proposals and prices become N x N matrices
+once, at return. The per-pair and per-agent constants are gathered once per
+market (``_PairTerms``, ``_LocalTerms``). All per-agent updates within one
 iteration read only the frozen previous state, so the sweep order never
 affects the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -98,41 +102,19 @@ class SolverConfig:
             raise ValidationError("max_iterations must be a whole number of at least 1")
 
 
-@dataclass
-class MarketState:
-    """Mutable negotiation state.
-
-    ``P`` (the agents' proposals), ``Z`` (the coordinator's skew-symmetric
-    copy) and ``y`` (the bilateral prices) hold one entry per partnered pair
-    in the community's pair order, so ``P[community.rev]`` is the transpose.
-    ``lam`` holds each agent's marginal from its last local step, which
-    warm-starts the next, and ``s`` the penalty scale.
-    """
-
-    community: object
-    P: np.ndarray = field(default=None)
-    Z: np.ndarray = field(default=None)
-    y: np.ndarray = field(default=None)
-    lam: np.ndarray = field(default=None)
-    s: float = 1.0
-
-    @classmethod
-    def initial(cls, community, local=None):
-        """The opening state. Every pair is priced at the free-market
-        clearing price of the whole community, the price at which the
-        agents' best responses balance when fees and partnership lists are
-        ignored. Each agent's best response, split evenly over its
-        partners, is made reciprocal, P = Z = (B - B^T)/2, so the opening
-        excess is zero. Each marginal starts at the agent's own b.
-        ``local`` passes the market's ``_LocalTerms`` when already gathered."""
-        local = local if local is not None else _LocalTerms.gather(community)
-        price = _balancing_price(local)
-        best = np.minimum(local.total_hi, np.maximum(
-            local.total_lo, (price - community.b) * local.inv_a))
-        share = (best / np.maximum(local.partners, 1))[community.src]
-        Z = 0.5 * (share - share[community.rev])
-        return cls(community=community, P=Z, Z=Z, y=np.full(len(Z), price),
-                   lam=community.b.copy())
+def _opening(community, local):
+    """The opening Z, y and marginals. Every pair is priced at the
+    free-market clearing price of the whole community, the price at which
+    the agents' best responses balance when fees and partnership lists are
+    ignored. Each agent's best response, split evenly over its partners, is
+    made reciprocal, P = Z = (B - B^T)/2, so the opening excess is zero.
+    Each marginal starts at the agent's own b."""
+    price = _balancing_price(local)
+    best = np.minimum(local.total_hi, np.maximum(
+        local.total_lo, (price - community.b) * local.inv_a))
+    share = (best / np.maximum(local.partners, 1))[community.src]
+    Z = 0.5 * (share - share[community.rev])
+    return Z, np.full(len(Z), price), community.b.copy()
 
 
 def _balancing_price(local):
@@ -355,12 +337,6 @@ def _accepted_trades(P, rev):
     return np.where(facing, np.sign(P) * np.minimum(np.abs(P), np.abs(opposite)), 0.0)
 
 
-def _settled(P, community):
-    """Accepted trades as an N x N matrix and the net power of each agent."""
-    trades = _on_grid(_accepted_trades(P, community.rev), community)
-    return trades, trades.sum(axis=1)
-
-
 def _on_grid(values, community):
     """Scatter per-pair values into an N x N matrix, zero off the pairs."""
     grid = np.zeros((len(community.agents),) * 2)
@@ -388,52 +364,51 @@ def clear_market(community, gamma=None, config=None):
     floor = _slope_floor(inv_rho)
     head = target[:n_pairs]
 
-    state = MarketState.initial(community, local)
-    rho, rho_half = pairs.gain, 0.5 * pairs.gain
+    Z, y, lam = _opening(community, local)
+    s, rho, rho_half = 1.0, pairs.gain, 0.5 * pairs.gain
     primal_hist = []
     converged = False
     for iterations in range(1, config.max_iterations + 1):
-        Z_old = state.Z
-        np.subtract(np.add(np.multiply(rho, Z_old, out=head), state.y, out=head),
+        Z_old = Z
+        np.subtract(np.add(np.multiply(rho, Z_old, out=head), y, out=head),
                     pairs.gamma, out=head)
-        state.lam, terms = _local_step(state.lam, target, inv_rho, floor, local)
-        state.P = terms[:n_pairs]
-        state.Z, excess = _coordinator_step(state.P, community.rev)
+        lam, terms = _local_step(lam, target, inv_rho, floor, local)
+        P = terms[:n_pairs]
+        Z, excess = _coordinator_step(P, community.rev)
         # P - Z is half the pair excess
         primal_hist.append(0.5 * float(np.abs(excess).max(initial=0.0)))
         if (primal_hist[-1] <= config.eps_primal
-                and _lagging(state.P, Z_old, rho) <= config.eps_price):
-            outcome = _Outcome.of(state, pairs, local)
-            if _optimal(state, outcome, config):
+                and _lagging(P, Z_old, rho) <= config.eps_price):
+            outcome = _Outcome.of(P, y, lam, community, pairs, local)
+            if _optimal(Z, outcome, community, config):
                 converged = True
                 break
-        state.y, push = _price_step(state.y, rho_half, excess)
+        y, push = _price_step(y, rho_half, excess)
         if primal_hist[-1] > config.eps_primal:
-            dual = rho * (state.Z - Z_old)
+            dual = rho * (Z - Z_old)
             # the primal residual h (P + P^T) is 2 push / s
-            s = _rebalanced(state.s, 4.0 * push.dot(push) / (state.s * state.s),
-                            dual.dot(dual))
-            if s != state.s:
+            scale = _rebalanced(s, 4.0 * push.dot(push) / (s * s), dual.dot(dual))
+            if scale != s:
                 # powers of two: rho, rho/2 and 1/rho scale exactly
-                state.s, rho = s, s * pairs.gain
+                s, rho = scale, scale * pairs.gain
                 rho_half = 0.5 * rho
                 np.divide(1.0, rho, out=inv_rho[:n_pairs])
                 floor = _slope_floor(inv_rho)
     else:
-        outcome = _Outcome.of(state, pairs, local)
+        outcome = _Outcome.of(P, y, lam, community, pairs, local)
 
     return ClearingResult(
-        trades=outcome.trades, proposals=_on_grid(state.P, community),
-        prices=_on_grid(state.y, community), net_powers=outcome.net_powers,
-        marginals=state.lam, mu_hi=outcome.mu_hi, mu_lo=outcome.mu_lo,
+        trades=_on_grid(outcome.trades, community), proposals=_on_grid(P, community),
+        prices=_on_grid(y, community), net_powers=outcome.net_powers,
+        marginals=lam, mu_hi=outcome.mu_hi, mu_lo=outcome.mu_lo,
         iterations=iterations, converged=converged,
         primal_residuals=np.asarray(primal_hist), kkt_residual=outcome.kkt)
 
 
 class _Outcome(NamedTuple):
     """What a run reports of its state: the bound multipliers, the worst
-    stationarity of the proposals, the accepted trades and their net
-    powers. The stop rule judges the same figures the result reports."""
+    stationarity of the proposals, the accepted trades per pair and their
+    net powers. The stop rule judges the same figures the result reports."""
 
     mu_hi: np.ndarray
     mu_lo: np.ndarray
@@ -442,12 +417,12 @@ class _Outcome(NamedTuple):
     net_powers: np.ndarray
 
     @classmethod
-    def of(cls, state, pairs, local):
-        community = state.community
-        mu_hi, mu_lo = _multipliers(state.lam, local)
-        q = _target_marginal(state.y, mu_hi, mu_lo, community, pairs)
-        return cls(mu_hi, mu_lo, _kkt_max(state.P, q, community, pairs),
-                   *_settled(state.P, community))
+    def of(cls, P, y, lam, community, pairs, local):
+        mu_hi, mu_lo = _multipliers(lam, local)
+        q = _target_marginal(y, mu_hi, mu_lo, community, pairs)
+        trades = _accepted_trades(P, community.rev)
+        return cls(mu_hi, mu_lo, _kkt_max(P, q, community, pairs),
+                   trades, _row_sums(community, trades))
 
 
 def _lagging(P, Z_old, rho):
@@ -456,15 +431,14 @@ def _lagging(P, Z_old, rho):
     return float(np.abs(np.where(P != 0.0, rho * (Z_old - P), 0.0)).max(initial=0.0))
 
 
-def _optimal(state, outcome, config):
+def _optimal(Z, outcome, community, config):
     """Stationarity of the proposals within eps_price; every bound held
     within eps_primal, by the row sums of Z and by the net powers of the
     accepted trades that the result reports; and, wherever a bound
     multiplier is positive, that bound tight within eps_primal."""
     if outcome.kkt > config.eps_price:
         return False
-    community = state.community
-    slack = _bound_slack(community, _row_sums(community, state.Z))
+    slack = _bound_slack(community, _row_sums(community, Z))
     bound = np.concatenate((outcome.mu_hi, outcome.mu_lo)) > 0.0
     # accepted trades take the smaller side of each pair, so their net
     # powers can sit outside a bound that Z's row sums hold

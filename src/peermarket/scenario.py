@@ -36,7 +36,7 @@ import os
 from dataclasses import dataclass
 
 from .engine import SolverConfig
-from .errors import ValidationError
+from .errors import ValidationError, read_lines
 from .policies import DISTANCE, PolicySpec
 
 FORMAT_VERSION = 1
@@ -73,11 +73,8 @@ def load_scenario(path):
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        with open(path, encoding="utf-8") as handle:
-            parser.read_file(handle, source=path)
-    except OSError:
-        raise
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        parser.read_file(read_lines(path), source=path)
+    except configparser.Error as exc:
         raise ValidationError(f"{path}: malformed scenario file: {exc}") from None
 
     for section in parser.sections():

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import AGENTS_FILE, NETWORK_FILE
 from peermarket import bisection_clearing
-from peermarket.cli import main
+from peermarket.cli import MAX_FEE_POINTS, main
 
 FAST_SOLVER = ["--eps-primal", "0.05", "--max-iterations", "8000"]
 
@@ -315,6 +315,14 @@ def test_sweep_rejects_non_finite_grid(tmp_path, free_scenario, capsys, flag, va
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("low, high, step", [("0", "60", "1e-9"), ("-1e308", "1e308", "1")])
+def test_sweep_rejects_oversized_grid(tmp_path, free_scenario, capsys, low, high, step):
+    # the point count is checked before any grid point is built
+    assert cli("sweep", free_scenario, "--policy", "unique", f"--fee-min={low}",
+               f"--fee-max={high}", f"--step={step}", "--output", str(tmp_path / "o")) == 1
+    assert f"exceed {MAX_FEE_POINTS} points" in capsys.readouterr().err
+
+
 def test_sweep_rejects_negative_fee(tmp_path, free_scenario, capsys):
     assert cli("sweep", free_scenario, "--policy", "unique", "--fee-min", "-5",
                "--fee-max", "5", "--step", "5", "--output", str(tmp_path / "o")) == 2
@@ -358,6 +366,15 @@ def test_trades_file_not_utf8_exits_2(tmp_path, capsys):
     assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, trades,
                "--output", str(tmp_path / "out")) == 2
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+def test_scenario_not_utf8_names_the_offset_in_the_file(tmp_path, capsys):
+    # the bad byte lies past the first 16 KiB, where an incremental decoder
+    # would count from the start of its chunk instead of the file
+    padding = ("#" * 99 + "\n") * 200 + "#" * 27 + "\n"
+    scenario = _not_utf8(tmp_path / "case.ini", padding)
+    assert cli("run", scenario, "--output", str(tmp_path / "out")) == 2
+    assert "not UTF-8 text (byte 20028)" in capsys.readouterr().err
 
 
 def test_sweep_table_not_utf8_exits_2(tmp_path, capsys):

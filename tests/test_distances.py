@@ -17,7 +17,6 @@ from peermarket import (
     shortest_path,
     thevenin_line_weights,
     zone_crossing_matrix,
-    zones_crossed,
 )
 from peermarket.distances import bus_impedance_matrix, default_reference_bus
 from peermarket.network import Bus, Line, Network, susceptance_matrix
@@ -78,20 +77,20 @@ def test_shortest_path_same_bus():
     path = shortest_path(net, thevenin_line_weights(net), 2, 2)
     assert path.nodes == (2,)
     assert path.total_weight == 0.0
-    assert zones_crossed(path, net) == 1
+    assert len(path.zones_visited) == 1
 
 
 def test_bundled_corridor_path(network):
     weights = thevenin_line_weights(network)
     path = shortest_path(network, weights, 16, 39)
     assert path.nodes == (16, 17, 18, 3, 2, 1, 39)
-    assert zones_crossed(path, network) == 2
+    assert len(path.zones_visited) == 2
 
 
 def test_path_inside_one_zone(network):
     weights = thevenin_line_weights(network)
     path = shortest_path(network, weights, 16, 17)
-    assert zones_crossed(path, network) == 1
+    assert len(path.zones_visited) == 1
 
 
 def test_ptdf_two_bus():
@@ -196,7 +195,7 @@ def test_zone_crossings_match_shortest_path(community, network):
     for i, j in zip(community.src, community.dst):
         buses = sorted((community.agents[i].bus, community.agents[j].bus))
         path = shortest_path(network, weights, *buses)
-        assert counts[i, j] == zones_crossed(path, network)
+        assert counts[i, j] == len(path.zones_visited)
 
 
 def test_thevenin_matrix_matches_bellman_ford(community, network):

@@ -28,7 +28,6 @@ from peermarket import (
 )
 from peermarket.engine import (
     ROOT_TOL,
-    MarketState,
     _LocalTerms,
     _PairTerms,
     _bisect,
@@ -44,18 +43,6 @@ from peermarket.engine import (
 # two consumers, has pairs (1->2, 1->3, 2->1, 3->1).
 
 
-def pair_state(y=None, P=None, Z=None):
-    com = make_pair_community()
-    state = MarketState.initial(com)
-    if y is not None:
-        state.y = np.asarray(y, dtype=float)
-    if P is not None:
-        state.P = np.asarray(P, dtype=float)
-    if Z is not None:
-        state.Z = np.asarray(Z, dtype=float)
-    return state
-
-
 def triple_community_rows():
     return [
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
@@ -68,25 +55,25 @@ def triple_community():
     return build_community(triple_community_rows())
 
 
-def price_step(state):
-    _, excess = _coordinator_step(state.P, state.community.rev)
-    pairs = _PairTerms.gather(state.community, np.zeros((2, 2)))
-    return _price_step(state.y, 0.5 * state.s * pairs.gain, excess)[0]
+def price_step(com, y, P, s=1.0):
+    """The prices after one price step from ``y`` on the proposals ``P``, at
+    penalty scale ``s``."""
+    _, excess = _coordinator_step(np.asarray(P, dtype=float), com.rev)
+    pairs = _PairTerms.gather(com, np.zeros((len(com),) * 2))
+    return _price_step(np.asarray(y, dtype=float), 0.5 * s * pairs.gain, excess)[0]
 
 
 def test_price_update_arithmetic():
     # the producer offers 10 MW, the consumer takes nothing: the excess
     # (10 + 0) / 2 = 5 MW at the gain h(0.1, 0.1) = 0.1 lowers the pair's
     # one price by 0.5
-    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0], Z=[5.0, -5.0])
-    y = price_step(state)
+    y = price_step(make_pair_community(), [50.0, 50.0], [10.0, 0.0])
     assert y[0] == pytest.approx(49.5)
     assert y[1] == y[0]
 
 
 def test_price_update_fixed_point():
-    state = pair_state(y=[50.0, 50.0], P=[8.0, -8.0], Z=[8.0, -8.0])
-    y = price_step(state)
+    y = price_step(make_pair_community(), [50.0, 50.0], [8.0, -8.0])
     assert y[0] == 50.0
     assert y[1] == 50.0
 
@@ -99,10 +86,7 @@ def test_price_gain_is_harmonic_mean_of_curvatures():
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
         (2, 2, "consumer", 0.3, 80.0, 0.0, -500.0, 0.0),
     ])
-    state = MarketState.initial(com)
-    state.y = np.array([50.0, 50.0])
-    state.P = np.array([10.0, 0.0])
-    y = price_step(state)
+    y = price_step(com, [50.0, 50.0], [10.0, 0.0])
     assert y[0] == pytest.approx(49.25)
     assert y[1] == y[0]
 
@@ -110,22 +94,20 @@ def test_price_gain_is_harmonic_mean_of_curvatures():
 def test_price_step_scales_with_penalty():
     # at s = 2 the pair's penalty is rho = 2h and the same excess moves the
     # price twice as far
-    state = pair_state(y=[50.0, 50.0], P=[10.0, 0.0])
-    state.s = 2.0
-    assert price_step(state)[0] == pytest.approx(49.0)
+    assert price_step(make_pair_community(), [50.0, 50.0], [10.0, 0.0], s=2.0)[0] \
+        == pytest.approx(49.0)
 
 
-def local_step(state, gamma=None):
-    """One exact local step from ``state``, as ``clear_market`` takes it:
-    the marginals and the proposals."""
-    com = state.community
-    n = len(com)
-    pairs = _PairTerms.gather(com, np.zeros((n, n)) if gamma is None else gamma)
+def local_step(com, y, Z, s=1.0):
+    """One exact local step at prices ``y``, coordinator copy ``Z`` and
+    penalty scale ``s``, as ``clear_market`` takes its first one, from every
+    agent's own b: the marginals and the proposals."""
+    pairs = _PairTerms.gather(com, np.zeros((len(com),) * 2))
     local = _LocalTerms.gather(com)
-    rho = state.s * pairs.gain
-    target = np.concatenate((rho * state.Z + state.y - pairs.gamma, com.b))
+    rho = s * pairs.gain
+    target = np.concatenate((rho * np.asarray(Z, dtype=float) + y, com.b))
     inv_rho = np.concatenate((1.0 / rho, local.inv_a))
-    lam, terms = _local_step(state.lam, target, inv_rho, _slope_floor(inv_rho), local)
+    lam, terms = _local_step(com.b, target, inv_rho, _slope_floor(inv_rho), local)
     return lam, terms[:len(com.src)]
 
 
@@ -168,10 +150,7 @@ def test_gradient_step_uniform_when_balanced():
     # both consumers face the producer at one price and one penalty, so
     # its local step splits its total evenly between them
     com = triple_community()
-    state = MarketState.initial(com)
-    state.y = np.full(4, 50.0)
-    state.Z = np.array([5.0, 5.0, -5.0, -5.0])
-    _, P = local_step(state)
+    _, P = local_step(com, np.full(4, 50.0), [5.0, 5.0, -5.0, -5.0])
     assert P[0] == P[1]
     assert P[0] > 5.0
 
@@ -185,10 +164,7 @@ def test_gradient_step_zero_row():
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
         (3, 3, "consumer", 0.1, 75.0, 0.0, -500.0, 0.0),
     ])
-    state = MarketState.initial(com)
-    state.y = np.full(4, 40.0)
-    state.Z = np.zeros(4)
-    lam, P = local_step(state)
+    lam, P = local_step(com, np.full(4, 40.0), np.zeros(4))
     assert np.array_equal(P[:2], np.zeros(2))
     assert lam[0] == 52.5
 
@@ -196,8 +172,7 @@ def test_gradient_step_zero_row():
 def test_gradient_step_single_partner():
     # one partner: P = (rho Z + y - b) / (rho + a) in closed form, here
     # (0.1 * 100 + 50 - 20) / 0.2 = 200 MW, at marginal 20 + 0.1 * 200 = 40
-    state = pair_state(y=[50.0, 50.0], Z=[100.0, -100.0])
-    lam, P = local_step(state)
+    lam, P = local_step(make_pair_community(), [50.0, 50.0], [100.0, -100.0])
     assert P[0] == pytest.approx(200.0)
     assert lam[0] == pytest.approx(40.0)
 
@@ -207,10 +182,7 @@ def test_gradient_step_starved_partner_keeps_share():
     # 3; at one price and one penalty both pairs move by the same amount,
     # so the starved pair gains as much as the traded one
     com = triple_community()
-    state = MarketState.initial(com)
-    state.y = np.full(4, 50.0)
-    state.Z = np.array([79.0, 0.0, -79.0, 0.0])
-    _, P = local_step(state)
+    _, P = local_step(com, np.full(4, 50.0), [79.0, 0.0, -79.0, 0.0])
     assert P[1] > 0.0
     assert P[1] - 0.0 == pytest.approx(P[0] - 79.0)
 
@@ -223,11 +195,7 @@ def test_gradient_step_rows_normalised(Z, prices, s):
     # the local step's invariant: every agent's proposals sum to its total
     # clip((lambda - b)/a, p_min, p_max), within the root tolerance
     com = build_community(triple_community_rows())
-    state = MarketState.initial(com)
-    state.Z = np.array(Z)
-    state.y = np.array([prices[0], prices[1], prices[0], prices[1]])
-    state.s = s
-    lam, P = local_step(state)
+    lam, P = local_step(com, [prices[0], prices[1], prices[0], prices[1]], Z, s)
     totals = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
     assert np.abs(np.bincount(com.src, P, len(com)) - totals).max() <= ROOT_TOL
 
@@ -253,21 +221,20 @@ def test_bisection_solves_the_local_step(Z, prices, start):
 def test_trade_update_inverse_gradient():
     # at the consensus Z = 300 MW and the clearing price 50, the producer's
     # best response (50 - 20)/0.1 = 300 MW is a fixed point
-    state = pair_state(y=[50.0, 50.0], Z=[300.0, -300.0])
-    assert local_step(state)[1][0] == pytest.approx(300.0)
+    P = local_step(make_pair_community(), [50.0, 50.0], [300.0, -300.0])[1]
+    assert P[0] == pytest.approx(300.0)
 
 
 def test_trade_update_projects_producer():
     # price below marginal cost at zero output: the producer's proposal is
     # clipped to zero
-    state = pair_state(y=[10.0, 10.0], Z=[0.0, 0.0])
-    assert local_step(state)[1][0] == 0.0
+    assert local_step(make_pair_community(), [10.0, 10.0], [0.0, 0.0])[1][0] == 0.0
 
 
 def test_trade_update_keeps_consumer_sign():
     # from Z = 0 at price 50 the consumer buys (50 - 80)/0.2 = -150 MW
-    state = pair_state(y=[50.0, 50.0], Z=[0.0, 0.0])
-    assert local_step(state)[1][1] == pytest.approx(-150.0)
+    P = local_step(make_pair_community(), [50.0, 50.0], [0.0, 0.0])[1]
+    assert P[1] == pytest.approx(-150.0)
 
 
 def coordinator_step(P):
@@ -502,6 +469,8 @@ def test_non_convergence_is_reported_not_raised():
 
 def test_reconciled_trades_skew_symmetric(free_result):
     assert np.array_equal(free_result.trades, -free_result.trades.T)
+    # net powers are summed on the pair list, not from the returned matrix
+    assert np.abs(free_result.net_powers - free_result.trades.sum(axis=1)).max() <= 1e-9
 
 
 def test_sign_feasibility(community, free_result):
@@ -611,6 +580,8 @@ def test_prices_stay_exactly_symmetric(market):
     off = ~com.partner_mask()
     for matrix in (result.trades, result.proposals, result.prices):
         assert not matrix[off].any()
+    # the net powers are those of the returned trades
+    assert np.abs(result.net_powers - result.trades.sum(axis=1)).max() <= 1e-9
 
 
 @settings(max_examples=25, deadline=None)

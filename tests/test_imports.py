@@ -1,5 +1,6 @@
 """Static hygiene of the package sources: no module imports a name it never
-reads. No linter ships with the package, so this stands in for one."""
+reads, and no private module-level helper is left without a reader. No
+linter ships with the package, so this stands in for one."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from importlib.resources import files
 
 import pytest
 
-MODULES = sorted(path for path in files("peermarket").iterdir()
-                 if path.name.endswith(".py") and path.name != "__init__.py")
+SOURCES = sorted(path for path in files("peermarket").iterdir() if path.name.endswith(".py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source):
@@ -35,3 +36,39 @@ def test_checker_flags_an_unread_import():
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def orphans(sources):
+    """Private module-level functions and classes of ``sources``, a mapping
+    of module name to text, that no module reads outside their own body."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                if owner.startswith("_") and not owner.startswith("__"):
+                    defined.append((module, owner, node.lineno))
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    read.add((inner.id, module, owner))
+                elif isinstance(inner, ast.Attribute):
+                    read.add((inner.attr, module, owner))
+    return sorted(f"{module}: {name} (line {line})" for module, name, line in defined
+                  if not any(n == name and (m, o) != (module, name) for n, m, o in read))
+
+
+def test_checker_flags_an_orphan_helper():
+    sources = {
+        "a": "def _used():\n    return 1\n\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+             "class _Kept:\n    pass\n\n"
+             "def __getattr__(name):\n    raise AttributeError(name)\n\n"
+             "def public():\n    return _used()\n",
+        "b": "from . import a\n\nVALUE = a._Kept\n",
+    }
+    assert orphans(sources) == ["a: _recursive (line 4)"]
+
+
+def test_no_orphan_helpers():
+    assert orphans({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []
