@@ -91,12 +91,13 @@ def active_trade_count(result):
 
 def write_trades(path, community, result, gamma):
     """Per ordered partner pair: MW, price, fee price, perceived price."""
-    agents = community.agents
-    rows = []
-    for i, j in zip(community.src, community.dst):
-        y, g = result.prices[i, j], gamma[i, j]
-        rows.append((str(agents[i].id), str(agents[j].id), fmt(result.trades[i, j]),
-                     fmt(y), fmt(g), fmt(perceived_price(y, g))))
+    src, dst = community.src, community.dst
+    price, fee = result.prices[src, dst], gamma[src, dst]
+    ids = [str(agent.id) for agent in community.agents]
+    rows = [(ids[i], ids[j], fmt(mw), fmt(y), fmt(g), fmt(p))
+            for i, j, mw, y, g, p in zip(src.tolist(), dst.tolist(),
+                                         result.trades[src, dst].tolist(), price.tolist(),
+                                         fee.tolist(), perceived_price(price, fee).tolist())]
     _write(path, "trades", TRADE_COLUMNS, rows)
 
 

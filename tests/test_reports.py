@@ -7,7 +7,7 @@ import pytest
 
 from peermarket.network import Bus, Line, Network
 from peermarket.powerflow import FlowResult
-from peermarket.reports import fmt, write_metrics, write_powerflow
+from peermarket.reports import fmt, write_metrics, write_powerflow, write_trades
 
 
 @pytest.mark.parametrize("value, text", [
@@ -30,3 +30,15 @@ def test_reports_print_rounded_zero_unsigned(tmp_path):
     write_metrics(tmp_path / "metrics.txt", [("market.balance_mw", fmt(-1e-9))])
     assert (tmp_path / "metrics.txt").read_text() == (
         "# peermarket metrics v5\nmarket.balance_mw = 0.000000\n")
+
+
+def test_write_trades_matches_per_pair_lookups(tmp_path, community, free_result):
+    # the writer formats whole per-pair arrays; each row must read as the
+    # scalar lookups at (n, m) would
+    gamma = np.arange(len(community) ** 2, dtype=float).reshape(len(community), -1) / 7.0
+    write_trades(tmp_path / "trades.csv", community, free_result, gamma)
+    ids = [agent.id for agent in community.agents]
+    trades, prices = free_result.trades, free_result.prices
+    expected = [f"{ids[i]},{ids[j]},{fmt(trades[i, j])},{fmt(prices[i, j])},{fmt(gamma[i, j])},"
+                f"{fmt(prices[i, j] - gamma[i, j])}" for i, j in zip(community.src, community.dst)]
+    assert (tmp_path / "trades.csv").read_text().splitlines()[2:] == expected
