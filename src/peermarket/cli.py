@@ -84,9 +84,17 @@ def _solver_with_overrides(scenario, args):
     return dataclasses.replace(scenario.solver, **overrides) if overrides else scenario.solver
 
 
-def _policy_with_overrides(scenario, args, community):
+def _kind_and_metric(scenario, args, parser):
+    """The policy kind and distance metric, flags over the scenario. Like
+    ``[policy] metric``, ``--metric`` applies to the distance policy only."""
     kind = args.policy or scenario.policy.kind
-    metric = args.metric or scenario.policy.metric
+    if args.metric is not None and kind != DISTANCE:
+        parser.error(f"--metric only applies to the distance policy, not {kind}")
+    return kind, args.metric or scenario.policy.metric
+
+
+def _policy_with_overrides(scenario, args, community, parser):
+    kind, metric = _kind_and_metric(scenario, args, parser)
     fee = scenario.policy.fee
     if args.fee is not None:
         fee = args.fee
@@ -160,12 +168,12 @@ def _oracle_pairs(policy, community, gamma, result):
     ]
 
 
-def cmd_run(args):
+def cmd_run(args, parser):
     scenario = load_scenario(args.scenario)
     network = load_network(scenario.network_path)
     community = load_agents(scenario.agents_path, network=network)
     config = _solver_with_overrides(scenario, args)
-    policy = _policy_with_overrides(scenario, args, community)
+    policy = _policy_with_overrides(scenario, args, community, parser)
     verify = args.verify or scenario.verify
 
     gamma = build_gamma(policy, community, network=network)
@@ -220,8 +228,7 @@ def cmd_sweep(args, parser):
     network = load_network(scenario.network_path)
     community = load_agents(scenario.agents_path, network=network)
     config = _solver_with_overrides(scenario, args)
-    kind = args.policy or scenario.policy.kind
-    metric = args.metric or scenario.policy.metric
+    kind, metric = _kind_and_metric(scenario, args, parser)
     if kind == FREE:
         parser.error("sweep needs a fee policy (unique, distance or zonal)")
     policy = PolicySpec(kind, metric=metric)
@@ -313,7 +320,7 @@ def build_parser():
     run.add_argument("--verify", action="store_true", help="cross-check against reference solvers")
     _add_policy_flags(run)
     _add_solver_flags(run)
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=lambda args: cmd_run(args, run))
 
     sweep = commands.add_parser("sweep", help="rerun the market over a fee grid")
     sweep.add_argument("scenario")

@@ -15,7 +15,9 @@ One iteration advances, in order:
   p_min, p_max), a monotone piecewise-linear root found by semismooth
   Newton (``_local_step``);
 * the coordinator copy Z = (P - P^T)/2;
-* the stop check below;
+* the stop check below; the last iteration the cap allows ends here, so a
+  capped run, like a converged one, reports the prices its proposals
+  answered;
 * bilateral prices, y <- y - rho/2 (P + P^T), where rho = s h per pair and
   h = 2 a_n a_m / (a_n + a_m) is the pair's Newton gain;
 * the penalty scale s, doubled or halved by residual balancing (Boyd et
@@ -37,10 +39,12 @@ The last two are the first-order optimality conditions of the market, so a
 run flagged converged is at the market optimum up to the tolerances, not
 merely at a point where the updates have become small. The bound
 multipliers follow from lambda: how far it lies beyond the marginal cost at
-a bound, where the agent's total sits at that bound, and zero elsewhere. At
-a traded pair the stationarity a p + b + mu - (y - gamma) is then rho
-(Z_old - P), so the full check runs only once that is within
-``eps_price``.
+a bound, where the agent's total sits at that bound, and zero elsewhere.
+Every local step is exact, so an agent's marginal cost plus its bound
+multipliers is its lambda_n, and the stationarity a p + b + mu - (y -
+gamma) of pair n->m is lambda_n - (y_nm - gamma_nm) (``_kkt_max``). The
+stop check, the result's ``kkt_residual`` and the public ``kkt_residual``
+all read it in that form.
 
 The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
@@ -51,11 +55,11 @@ one entry per partnered ordered pair: the proposals P, the coordinator copy
 Z and the prices y, with ``P[community.rev]`` the transpose, plus each
 agent's marginal lambda, which warm-starts its next local step, and the
 penalty scale s. The stop check reads the accepted trades and their net
-powers on the same list; trades, proposals and prices become N x N matrices
-once, at return. The per-pair and per-agent constants are gathered once per
-market (``_PairTerms``, ``_LocalTerms``). All per-agent updates within one
-iteration read only the frozen previous state, so the sweep order never
-affects the result.
+powers on the same list; the result's are built once, at return, where
+trades, proposals and prices become N x N matrices. The per-pair and
+per-agent constants are gathered once per market (``_PairTerms``,
+``_LocalTerms``). All per-agent updates within one iteration read only the
+frozen previous state, so the sweep order never affects the result.
 """
 
 from __future__ import annotations
@@ -146,10 +150,12 @@ class ClearingResult:
     exactly. ``proposals`` keeps the agents' own final positions; at
     convergence the two differ by at most ``2 * eps_primal`` entrywise.
     ``marginals`` holds each agent's lambda from its last local step, its
-    marginal cost plus bound multipliers, and ``mu_hi`` and ``mu_lo`` those
-    multipliers. ``kkt_residual`` is the worst stationarity violation of the
-    proposals over all partnered pairs (€/MW); bound complementarity is
-    enforced by the stop rule and is not part of it.
+    marginal cost plus bound multipliers; the multipliers are how far lambda
+    lies beyond the marginal cost at either bound. ``prices`` are the ones
+    the proposals answered, also at the iteration cap. ``kkt_residual`` is
+    the worst stationarity violation of the proposals over all partnered
+    pairs (€/MW); bound complementarity is enforced by the stop rule and is
+    not part of it.
     """
 
     trades: np.ndarray
@@ -157,8 +163,6 @@ class ClearingResult:
     prices: np.ndarray
     net_powers: np.ndarray
     marginals: np.ndarray
-    mu_hi: np.ndarray
-    mu_lo: np.ndarray
     iterations: int
     converged: bool
     primal_residuals: np.ndarray
@@ -167,10 +171,9 @@ class ClearingResult:
 
 class _PairTerms(NamedTuple):
     """Per-pair constants of one market, gathered once per ``clear_market``
-    call: the fee, the side's linear cost and sign, and the Newton gain h."""
+    call: the fee, the side's sign, and the Newton gain h."""
 
     gamma: np.ndarray
-    b: np.ndarray
     sign: np.ndarray
     gain: np.ndarray
 
@@ -180,8 +183,7 @@ class _PairTerms(NamedTuple):
         a, other = community.a[src], community.a[dst]
         # a*other and a+other commute, so both sides of a pair get the same
         # gain bit for bit
-        return cls(gamma[src, dst], community.b[src], community.sign[src],
-                   2.0 * a * other / (a + other))
+        return cls(gamma[src, dst], community.sign[src], 2.0 * a * other / (a + other))
 
 
 class _LocalTerms(NamedTuple):
@@ -290,14 +292,6 @@ def _multipliers(lam, local):
     return np.maximum(lam - local.marginal_hi, 0.0), np.maximum(local.marginal_lo - lam, 0.0)
 
 
-def _target_marginal(prices, mu_hi, mu_lo, community, pairs):
-    """Per pair, q = y - gamma - mu_hi + mu_lo - b: the value the agent's
-    marginal cost above b, a times its total, takes where the pair is
-    stationary. The stationarity of a proposal is a * total - q."""
-    src = community.src
-    return prices - pairs.gamma - mu_hi[src] + mu_lo[src] - pairs.b
-
-
 def _price_step(y, rho_half, excess):
     """The next price of every pair, y - rho/2 (P + P^T), and the step
     itself. The sum commutes, so y stays symmetric bit for bit."""
@@ -367,7 +361,6 @@ def clear_market(community, gamma=None, config=None):
     Z, y, lam = _opening(community, local)
     s, rho, rho_half = 1.0, pairs.gain, 0.5 * pairs.gain
     primal_hist = []
-    converged = False
     for iterations in range(1, config.max_iterations + 1):
         Z_old = Z
         np.subtract(np.add(np.multiply(rho, Z_old, out=head), y, out=head),
@@ -377,12 +370,11 @@ def clear_market(community, gamma=None, config=None):
         Z, excess = _coordinator_step(P, community.rev)
         # P - Z is half the pair excess
         primal_hist.append(0.5 * float(np.abs(excess).max(initial=0.0)))
-        if (primal_hist[-1] <= config.eps_primal
-                and _lagging(P, Z_old, rho) <= config.eps_price):
-            outcome = _Outcome.of(P, y, lam, community, pairs, local)
-            if _optimal(Z, outcome, community, config):
-                converged = True
-                break
+        converged = (primal_hist[-1] <= config.eps_primal
+                     and _kkt_max(P, y, lam, community, pairs) <= config.eps_price
+                     and _bounds_hold(P, Z, lam, community, local, config.eps_primal))
+        if converged or iterations == config.max_iterations:
+            break
         y, push = _price_step(y, rho_half, excess)
         if primal_hist[-1] > config.eps_primal:
             dual = rho * (Z - Z_old)
@@ -394,57 +386,29 @@ def clear_market(community, gamma=None, config=None):
                 rho_half = 0.5 * rho
                 np.divide(1.0, rho, out=inv_rho[:n_pairs])
                 floor = _slope_floor(inv_rho)
-    else:
-        outcome = _Outcome.of(P, y, lam, community, pairs, local)
 
+    trades = _accepted_trades(P, community.rev)
     return ClearingResult(
-        trades=_on_grid(outcome.trades, community), proposals=_on_grid(P, community),
-        prices=_on_grid(y, community), net_powers=outcome.net_powers,
-        marginals=lam, mu_hi=outcome.mu_hi, mu_lo=outcome.mu_lo,
-        iterations=iterations, converged=converged,
-        primal_residuals=np.asarray(primal_hist), kkt_residual=outcome.kkt)
+        trades=_on_grid(trades, community), proposals=_on_grid(P, community),
+        prices=_on_grid(y, community), net_powers=_row_sums(community, trades),
+        marginals=lam, iterations=iterations, converged=converged,
+        primal_residuals=np.asarray(primal_hist),
+        kkt_residual=_kkt_max(P, y, lam, community, pairs))
 
 
-class _Outcome(NamedTuple):
-    """What a run reports of its state: the bound multipliers, the worst
-    stationarity of the proposals, the accepted trades per pair and their
-    net powers. The stop rule judges the same figures the result reports."""
-
-    mu_hi: np.ndarray
-    mu_lo: np.ndarray
-    kkt: float
-    trades: np.ndarray
-    net_powers: np.ndarray
-
-    @classmethod
-    def of(cls, P, y, lam, community, pairs, local):
-        mu_hi, mu_lo = _multipliers(lam, local)
-        q = _target_marginal(y, mu_hi, mu_lo, community, pairs)
-        trades = _accepted_trades(P, community.rev)
-        return cls(mu_hi, mu_lo, _kkt_max(P, q, community, pairs),
-                   trades, _row_sums(community, trades))
-
-
-def _lagging(P, Z_old, rho):
-    """Worst stationarity over the pairs the local step left unclipped:
-    there a p + b + mu - (y - gamma) is rho (Z_old - P)."""
-    return float(np.abs(np.where(P != 0.0, rho * (Z_old - P), 0.0)).max(initial=0.0))
-
-
-def _optimal(Z, outcome, community, config):
-    """Stationarity of the proposals within eps_price; every bound held
-    within eps_primal, by the row sums of Z and by the net powers of the
-    accepted trades that the result reports; and, wherever a bound
-    multiplier is positive, that bound tight within eps_primal."""
-    if outcome.kkt > config.eps_price:
-        return False
+def _bounds_hold(P, Z, lam, community, local, eps_primal):
+    """Every bound held within eps_primal, by the row sums of Z and by the
+    net powers of the accepted trades that the result reports; and,
+    wherever a bound multiplier is positive, that bound tight within
+    eps_primal."""
     slack = _bound_slack(community, _row_sums(community, Z))
-    bound = np.concatenate((outcome.mu_hi, outcome.mu_lo)) > 0.0
+    bound = np.concatenate(_multipliers(lam, local)) > 0.0
     # accepted trades take the smaller side of each pair, so their net
     # powers can sit outside a bound that Z's row sums hold
-    return (slack.max() <= config.eps_primal
-            and (-slack[bound]).max(initial=0.0) <= config.eps_primal
-            and _bound_slack(community, outcome.net_powers).max() <= config.eps_primal)
+    net = _row_sums(community, _accepted_trades(P, community.rev))
+    return bool(slack.max() <= eps_primal
+                and (-slack[bound]).max(initial=0.0) <= eps_primal
+                and _bound_slack(community, net).max() <= eps_primal)
 
 
 def _bound_slack(community, totals):
@@ -452,9 +416,11 @@ def _bound_slack(community, totals):
     return np.concatenate((totals - community.p_max, community.p_min - totals))
 
 
-def _kkt_max(proposals, q, community, pairs):
-    """Worst stationarity violation a * total - q over the pairs."""
-    stationarity = (community.a * _row_sums(community, proposals))[community.src] - q
+def _kkt_max(proposals, prices, lam, community, pairs):
+    """Worst stationarity violation over the pairs. The local step is exact,
+    so agent n's marginal cost plus bound multipliers is lam_n and the
+    stationarity of pair n->m is lam_n - (y_nm - gamma_nm)."""
+    stationarity = lam[community.src] - prices + pairs.gamma
     return _stationarity_max(proposals, stationarity, pairs.sign)
 
 
@@ -472,9 +438,9 @@ def _stationarity_max(proposals, expr, sign):
 
 def kkt_residual(result, community, gamma=None):
     """Worst stationarity violation of the proposals across all partnered
-    pairs, in €/MW. Bound complementarity is not included; the stop rule of
-    ``clear_market`` checks it separately."""
+    pairs, in €/MW, read off the agents' ``marginals``. Bound
+    complementarity is not included; the stop rule of ``clear_market``
+    checks it separately."""
     pairs = _PairTerms.gather(community, validate_gamma(community, gamma))
     at = (community.src, community.dst)
-    q = _target_marginal(result.prices[at], result.mu_hi, result.mu_lo, community, pairs)
-    return _kkt_max(result.proposals[at], q, community, pairs)
+    return _kkt_max(result.proposals[at], result.prices[at], result.marginals, community, pairs)

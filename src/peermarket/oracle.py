@@ -43,7 +43,6 @@ class OracleResult:
     clearing_price: float | None
     net_powers: np.ndarray
     trades: np.ndarray | None
-    social_welfare: float
     stationarity: float | None = None
     objective_history: np.ndarray | None = None
     newton_steps: int = 0
@@ -94,8 +93,7 @@ def bisection_clearing(community, wedge=0.0):
     residual = float(net.sum())
     if abs(residual) > BISECTION_BALANCE_TOL:
         raise InfeasibleError(f"bisection failed to balance the market ({residual:+.3e} MW)")
-    return OracleResult(clearing_price=lam, net_powers=net, trades=None,
-                        social_welfare=social_welfare(community, net))
+    return OracleResult(clearing_price=lam, net_powers=net, trades=None)
 
 
 def _fill_level(w, target):
@@ -354,7 +352,6 @@ def qp_reference(community, gamma):
     trades[C, P] = -t
     net = trades.sum(axis=1)
     return OracleResult(clearing_price=None, net_powers=net, trades=trades,
-                        social_welfare=social_welfare(community, net),
                         stationarity=stationarity,
                         objective_history=np.asarray(history),
                         newton_steps=newton_steps)

@@ -295,6 +295,28 @@ def test_sweep_and_recommend(tmp_path):
     assert cli("recommend-fee", table, "--max-rate", "0.01") == 2
 
 
+@pytest.mark.parametrize("command, policy", [("run", None), ("run", "zonal"),
+                                             ("sweep", "zonal")])
+def test_metric_without_distance_policy_is_usage_error(tmp_path, free_scenario, capsys,
+                                                       command, policy):
+    # the scenario file rejects [policy] metric for other kinds; the flag
+    # used to be ignored silently
+    args = [free_scenario, "--metric", "thevenin", "--output", str(tmp_path / "o")]
+    if policy:
+        args += ["--policy", policy]
+    if command == "sweep":
+        args += ["--fee-min", "0", "--fee-max", "0"]
+    assert cli(command, *args) == 1
+    assert "--metric only applies to the distance policy" in capsys.readouterr().err
+
+
+def test_metric_with_distance_policy_override(tmp_path, free_scenario):
+    out = tmp_path / "o"
+    assert cli("run", free_scenario, "--policy", "distance", "--metric", "thevenin",
+               *FAST_SOLVER, "--output", str(out)) == 0
+    assert "scenario.metric = thevenin" in (out / "metrics.txt").read_text(encoding="utf-8")
+
+
 def test_sweep_rejects_free_policy(tmp_path, free_scenario):
     assert cli("sweep", free_scenario, "--fee-min", "0", "--fee-max", "10",
                "--output", str(tmp_path / "o")) == 1

@@ -36,6 +36,7 @@ from peermarket.engine import (
     _multipliers,
     _price_step,
     _slope_floor,
+    _stationarity_max,
 )
 
 # Per-pair arrays follow the community's row-major pair order. The pair
@@ -467,6 +468,16 @@ def test_non_convergence_is_reported_not_raised():
     assert len(result.primal_residuals) == 5
 
 
+def test_capped_run_reports_the_prices_its_proposals_answered(community):
+    # the first local step answers the opening price, the free-market
+    # clearing price; a run capped there must not report the prices of the
+    # step after it
+    result = clear_market(community, config=SolverConfig(max_iterations=1))
+    assert not result.converged
+    price = bisection_clearing(community).clearing_price
+    assert np.abs(result.prices[community.partner_mask()] - price).max() <= 1e-9
+
+
 def test_reconciled_trades_skew_symmetric(free_result):
     assert np.array_equal(free_result.trades, -free_result.trades.T)
     # net powers are summed on the pair list, not from the returned matrix
@@ -582,6 +593,25 @@ def test_prices_stay_exactly_symmetric(market):
         assert not matrix[off].any()
     # the net powers are those of the returned trades
     assert np.abs(result.net_powers - result.trades.sum(axis=1)).max() <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(priced_markets(), st.sampled_from([3, SolverConfig().max_iterations]))
+def test_kkt_residual_reads_the_marginals(market, cap):
+    # the run, its result and kkt_residual judge stationarity by one
+    # expression, lambda_n - (y - gamma); it agrees with the marginal-cost
+    # form a * total + b + mu_hi - mu_lo - (y - gamma) up to the local
+    # step's root tolerance
+    com, gamma = build_market(*market)
+    result = clear_market(com, gamma, SolverConfig(max_iterations=cap))
+    assert kkt_residual(result, com, gamma) == result.kkt_residual
+    at = (com.src, com.dst)
+    mu_hi, mu_lo = multipliers(com, result.marginals)
+    marginal = com.a * result.proposals.sum(axis=1) + com.b + mu_hi - mu_lo
+    reference = _stationarity_max(result.proposals[at],
+                                  marginal[com.src] - (result.prices - gamma)[at],
+                                  com.sign[com.src])
+    assert abs(result.kkt_residual - reference) <= com.a.max() * ROOT_TOL + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
