@@ -15,8 +15,6 @@ from .community import (
     PRODUCER,
     build_community,
     load_agents,
-    load_partners,
-    save_agents,
 )
 from .distances import (
     METRICS,
@@ -35,10 +33,9 @@ from .engine import (
     ClearingResult,
     SolverConfig,
     clear_market,
-    kkt_residual,
 )
 from .errors import InfeasibleError, ValidationError
-from .network import Bus, Line, Network, load_network, net_injections, save_network, susceptance_matrix
+from .network import Bus, Line, Network, load_network, net_injections, susceptance_matrix
 from .oracle import (
     OracleResult,
     bisection_clearing,
@@ -53,7 +50,6 @@ from .policies import (
     PolicySpec,
     UNIQUE,
     ZONAL,
-    agent_payment,
     build_gamma,
     perceived_price,
     total_collected,
@@ -66,7 +62,6 @@ from .powerflow import (
     dc_power_flow,
     interzone_exchange,
     line_rates,
-    tie_line_flow,
 )
 from .scenario import Scenario, load_scenario
 from .sweep import (
@@ -111,7 +106,6 @@ __all__ = [
     "ValidationError",
     "ZONAL",
     "ZoneExchangeReport",
-    "agent_payment",
     "bisection_clearing",
     "build_community",
     "build_gamma",
@@ -121,11 +115,9 @@ __all__ = [
     "dc_power_flow",
     "distance_matrix",
     "interzone_exchange",
-    "kkt_residual",
     "line_rates",
     "load_agents",
     "load_network",
-    "load_partners",
     "load_scenario",
     "market_objective",
     "net_injections",
@@ -135,13 +127,10 @@ __all__ = [
     "qp_reference",
     "recommend_fee",
     "run_sweep",
-    "save_agents",
-    "save_network",
     "shortest_path",
     "social_welfare",
     "susceptance_matrix",
     "thevenin_line_weights",
-    "tie_line_flow",
     "total_collected",
     "zone_crossing_matrix",
 ]

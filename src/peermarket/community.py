@@ -54,7 +54,8 @@ class Community:
     list is agent ``src[e]`` trading with agent ``dst[e]``, and ``rev[e]``
     is the pair of the opposite side; every per-pair array of the package
     uses this order. A pair listed twice, in either orientation, is one
-    partnership."""
+    partnership. ``partner_count`` holds each agent's number of partners,
+    ``unpartnered`` the positions of the agents that have none."""
 
     def __init__(self, agents, partners=None):
         self.agents = tuple(agents)
@@ -79,6 +80,8 @@ class Community:
         # both orientations of every pair are listed, so sorted by (dst, src)
         # the pairs list each pair's opposite side
         self.rev = np.lexsort((self.src, self.dst))
+        self.partner_count = np.bincount(self.src, minlength=len(self.agents))
+        self.unpartnered = tuple(np.flatnonzero(self.partner_count == 0).tolist())
 
     def _validate(self):
         if len(self._pos) != len(self.agents):
@@ -148,11 +151,16 @@ class Community:
 
 def check_feasible(community):
     """Raise InfeasibleError unless the aggregate bounds admit a balanced
-    dispatch; partnership lists are not considered."""
+    dispatch and every agent without partners may stay at zero. Whether the
+    partnered pairs can carry every forced trade is not checked."""
     if community.p_min.sum() > FEASIBILITY_TOL:
         raise InfeasibleError("minimum supply exceeds what consumers can absorb")
     if community.p_max.sum() < -FEASIBILITY_TOL:
         raise InfeasibleError("forced consumption exceeds available capacity")
+    for i in community.unpartnered:
+        if community.p_min[i] > 0.0 or community.p_max[i] < 0.0:
+            raise InfeasibleError(f"feasible set is empty: agent {community.agents[i].id} "
+                                  "must trade but has no partner")
 
 
 def validate_gamma(community, gamma):
@@ -175,28 +183,24 @@ def build_community(rows, partners=None):
     return Community([Agent(*row) for row in rows], partners)
 
 
-def _data_rows(path):
-    version_seen = None
+def load_agents(path, network=None):
+    """Parse and validate an agents file into a Community in which every
+    agent partners with all agents of the opposite role; ``build_community``
+    takes an explicit partnership list.
+
+    When a network is given, every referenced bus must exist in it.
+    """
+    rows = []
+    header_seen = False
+    version = None
     for lineno, raw in enumerate(read_lines(path), start=1):
         text = raw.strip()
         if not text:
             continue
         if text.startswith("#"):
             if text.startswith(FORMAT_MARKER):
-                version_seen = text[len(FORMAT_MARKER):].strip()
+                version = text[len(FORMAT_MARKER):].strip()
             continue
-        yield lineno, text, version_seen
-
-
-def load_agents(path, network=None, partners=None):
-    """Parse and validate an agents file.
-
-    When a network is given, every referenced bus must exist in it. partners
-    overrides the default all-opposite-role partnership (see build_community).
-    """
-    rows = []
-    header_seen = False
-    for lineno, text, version in _data_rows(path):
         if version is not None and version != str(FORMAT_VERSION):
             raise ValidationError(f"{path}: unsupported agents format version {version}")
         fields = next(csv.reader([text]))
@@ -222,33 +226,4 @@ def load_agents(path, network=None, partners=None):
         for row in rows:
             if row[1] not in known:
                 raise ValidationError(f"agent {row[0]} sits at unknown bus {row[1]}")
-    return build_community(rows, partners=partners)
-
-
-def save_agents(community, path):
-    """Serialize agents (round-trips with load_agents for default partnerships)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(f"{FORMAT_MARKER}{FORMAT_VERSION}\n")
-        writer = csv.writer(handle)
-        writer.writerow(AGENTS_HEADER)
-        for ag in community.agents:
-            writer.writerow([ag.id, ag.bus, ag.role, repr(ag.a), repr(ag.b), repr(ag.c),
-                             repr(ag.p_min), repr(ag.p_max)])
-
-
-def load_partners(path):
-    """Read an explicit partnership list: rows of ``agent_id,partner_id``.
-    Each pair must join a producer and a consumer; ``load_agents`` and
-    ``build_community`` reject any other."""
-    pairs = []
-    for lineno, text, _ in _data_rows(path):
-        fields = [f.strip() for f in next(csv.reader([text]))]
-        if fields == ["agent_id", "partner_id"]:
-            continue
-        if len(fields) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 'agent_id,partner_id'")
-        try:
-            pairs.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise ValidationError(f"{path}:{lineno}: partner ids must be integers") from None
-    return pairs
+    return build_community(rows)

@@ -43,8 +43,7 @@ a bound, where the agent's total sits at that bound, and zero elsewhere.
 Every local step is exact, so an agent's marginal cost plus its bound
 multipliers is its lambda_n, and the stationarity a p + b + mu - (y -
 gamma) of pair n->m is lambda_n - (y_nm - gamma_nm) (``_kkt_max``). The
-stop check, the result's ``kkt_residual`` and the public ``kkt_residual``
-all read it in that form.
+stop check and the result's ``kkt_residual`` both read it in that form.
 
 The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
@@ -116,7 +115,7 @@ def _opening(community, local):
     price = _balancing_price(local)
     best = np.minimum(local.total_hi, np.maximum(
         local.total_lo, (price - community.b) * local.inv_a))
-    share = (best / np.maximum(local.partners, 1))[community.src]
+    share = (best / np.maximum(community.partner_count, 1))[community.src]
     Z = 0.5 * (share - share[community.rev])
     return Z, np.full(len(Z), price), community.b.copy()
 
@@ -194,14 +193,12 @@ class _LocalTerms(NamedTuple):
     role, [0, inf) for a seller and (-inf, 0] for a buyer. The agent's own
     term has t = b, rho = a and the box [-p_max, -p_min]: minus its total
     clip((lam - b)/a, p_min, p_max). An agent without partners cannot
-    trade, so the box of its total is [0, 0]. Also kept per agent: its
-    partner count, 1/a, and the box of its total with the marginal costs
-    at both ends."""
+    trade, so the box of its total is [0, 0]. Also kept per agent: 1/a,
+    and the box of its total with the marginal costs at both ends."""
 
     src: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    partners: np.ndarray
     inv_a: np.ndarray
     total_lo: np.ndarray
     total_hi: np.ndarray
@@ -212,14 +209,14 @@ class _LocalTerms(NamedTuple):
     def gather(cls, community):
         src, n = community.src, len(community.agents)
         seller = community.sign[src] > 0
-        partners = np.bincount(src, minlength=n)
-        total_lo = np.where(partners > 0, community.p_min, 0.0)
-        total_hi = np.where(partners > 0, community.p_max, 0.0)
+        partnered = community.partner_count > 0
+        total_lo = np.where(partnered, community.p_min, 0.0)
+        total_hi = np.where(partnered, community.p_max, 0.0)
         inv_a = 1.0 / community.a
         return cls(np.concatenate((src, np.arange(n))),
                    np.concatenate((np.where(seller, 0.0, -np.inf), -total_hi)),
                    np.concatenate((np.where(seller, np.inf, 0.0), -total_lo)),
-                   partners, inv_a, total_lo, total_hi,
+                   inv_a, total_lo, total_hi,
                    community.a * total_lo + community.b, community.a * total_hi + community.b)
 
 
@@ -342,8 +339,8 @@ def clear_market(community, gamma=None, config=None):
     """Run the negotiation to equilibrium.
 
     Non-convergence is reported through the ``converged`` flag with the full
-    primal residual history, never as an exception; aggregate bounds that
-    admit no balanced dispatch raise InfeasibleError.
+    primal residual history, never as an exception; a market that
+    ``check_feasible`` rejects raises InfeasibleError.
     """
     config = config if config is not None else SolverConfig()
     gamma = validate_gamma(community, gamma)
@@ -434,13 +431,3 @@ def _stationarity_max(proposals, expr, sign):
     worst = (-oriented).max(initial=0.0)
     active = np.abs(proposals) > ACTIVE_TRADE_TOL
     return float(oriented[active].max(initial=worst)) + 0.0  # turns -0.0 into 0.0
-
-
-def kkt_residual(result, community, gamma=None):
-    """Worst stationarity violation of the proposals across all partnered
-    pairs, in €/MW, read off the agents' ``marginals``. Bound
-    complementarity is not included; the stop rule of ``clear_market``
-    checks it separately."""
-    pairs = _PairTerms.gather(community, validate_gamma(community, gamma))
-    at = (community.src, community.dst)
-    return _kkt_max(result.proposals[at], result.prices[at], result.marginals, community, pairs)

@@ -218,19 +218,6 @@ def load_network(path):
     return Network(buses, lines)
 
 
-def save_network(network, path):
-    """Serialize a network in the ``.net`` grammar (round-trips with load_network)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("# peermarket network v1\n")
-        handle.write(f"version {FORMAT_VERSION}\n\n")
-        handle.write("[buses]\n")
-        for bus in network.buses:
-            handle.write(f"{bus.id} {bus.zone}\n")
-        handle.write("\n[lines]\n")
-        for line in network.lines:
-            handle.write(f"{line.from_bus} {line.to_bus} {line.reactance!r} {line.capacity!r}\n")
-
-
 def _parse_int(token, path, lineno, what):
     try:
         return int(token)

@@ -257,9 +257,6 @@ def qp_reference(community, gamma):
     allowed = community.partner_mask()[P, C]
     lo = np.concatenate((community.p_min[pidx], -community.p_max[cidx]))
     hi = np.concatenate((community.p_max[pidx], -community.p_min[cidx]))
-    partnered = np.concatenate((allowed.any(axis=1), allowed.any(axis=0)))
-    if (lo[~partnered] > 0.0).any():
-        raise InfeasibleError(_EMPTY)
 
     disallowed = ~allowed
     root_n = math.sqrt(np.count_nonzero(allowed))

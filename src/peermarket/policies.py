@@ -85,20 +85,6 @@ def perceived_price(y_nm, gamma_nm):
     return y_nm - gamma_nm
 
 
-def agent_payment(trades_row, prices_row, gamma_row):
-    """(total money, operator share) for one agent's trade row.
-
-    Total money is signed from the agent's side (negative = the agent pays);
-    the operator share is nonnegative under the sign convention.
-    """
-    trades_row = np.asarray(trades_row, dtype=float)
-    perceived = perceived_price(np.asarray(prices_row, dtype=float),
-                                np.asarray(gamma_row, dtype=float))
-    total = float(np.dot(perceived, trades_row))
-    operator = float(np.dot(np.asarray(gamma_row, dtype=float), trades_row))
-    return total, operator
-
-
 def total_collected(trades, gamma):
     """System operator revenue from differentiation prices over all trades."""
     return float(np.sum(np.asarray(gamma) * np.asarray(trades)))

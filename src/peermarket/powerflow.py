@@ -94,9 +94,3 @@ def interzone_exchange(community, trades, network):
             pairs.append(((za, zb), mw))
             total += mw
     return ZoneExchangeReport(pairs=tuple(pairs), total=total)
-
-
-def tie_line_flow(flows, network):
-    """Secondary congestion-side metric: summed |flow| on zone-crossing lines."""
-    crossing = network.zones[network.line_from] != network.zones[network.line_to]
-    return float(np.abs(flows.flows[crossing]).sum())

@@ -107,12 +107,13 @@ def read_trade_net_powers(path, community):
     nets = np.zeros(len(community.agents))
     for lineno, parts in _read(path, "trades", TRADE_COLUMNS):
         try:
-            n = int(parts[0])
+            n, m = int(parts[0]), int(parts[1])
             mw = float(parts[2])
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: malformed trade row") from None
-        if n not in by_id:
-            raise ValidationError(f"{path}:{lineno}: unknown agent id {n}")
+        for agent in (n, m):
+            if agent not in by_id:
+                raise ValidationError(f"{path}:{lineno}: unknown agent id {agent}")
         nets[by_id[n]] += mw
     return nets
 
@@ -180,7 +181,12 @@ def read_sweep(path):
     records = []
     for lineno, parts in _read(path, "sweep", SWEEP_COLUMNS):
         try:
-            a, b = parts[8].split("-")
+            # bus ids may be negative: the ends split at the first '-' after
+            # the first character
+            head, dash, b = parts[8][1:].partition("-")
+            if not dash:
+                raise ValueError
+            a = parts[8][:1] + head
             records.append(
                 SweepRecord(
                     fee=float(parts[0]),

@@ -276,6 +276,18 @@ def test_powerflow_rejects_unknown_trades_version(tmp_path, capsys):
     assert "peermarket trades v1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m, message", [("abc", "malformed trade row"),
+                                        ("99", "unknown agent id 99")])
+def test_powerflow_rejects_bad_counterpart(tmp_path, capsys, m, message):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("# peermarket trades v1\n"
+                      "n,m,trade_mw,price,gamma,perceived_price\n"
+                      f"22,{m},10,50,0,50\n")
+    assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, str(trades),
+               "--output", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_and_recommend(tmp_path):
     scenario = tmp_path / "unique.ini"
     scenario.write_text(
@@ -293,6 +305,26 @@ def test_sweep_and_recommend(tmp_path):
     assert cli("recommend-fee", table, "--max-rate", "1.0") == 0
     assert cli("recommend-fee", table, "--revenue") == 0
     assert cli("recommend-fee", table, "--max-rate", "0.01") == 2
+
+
+def test_sweep_and_recommend_with_negative_bus_ids(tmp_path):
+    # .net bus ids may be negative, so the table's max_line can read -1-2
+    grid = tmp_path / "grid.net"
+    grid.write_text("version 1\nbase_mva 100.0\n\n[buses]\n-1 1\n2 1\n\n"
+                    "[lines]\n-1 2 0.1 100.0\n")
+    agents = tmp_path / "agents.csv"
+    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                      "1,-1,producer,0.1,20,0,0,100\n"
+                      "2,2,consumer,0.1,80,0,-100,0\n")
+    scenario = tmp_path / "case.ini"
+    scenario.write_text(f"[network]\npath = {grid}\n\n[agents]\npath = {agents}\n\n"
+                        "[policy]\nkind = unique\n")
+    out = tmp_path / "sweep"
+    assert cli("sweep", str(scenario), "--fee-min", "0", "--fee-max", "10",
+               "--step", "10", "--output", str(out)) == 0
+    table = out / "sweep.csv"
+    assert ",-1-2\n" in table.read_text()
+    assert cli("recommend-fee", str(table), "--revenue") == 0
 
 
 @pytest.mark.parametrize("command, policy", [("run", None), ("run", "zonal"),

@@ -14,9 +14,7 @@ from peermarket import (
     ValidationError,
     build_community,
     load_agents,
-    save_agents,
 )
-from peermarket.community import load_partners
 
 
 def test_bundled_census(community):
@@ -59,21 +57,13 @@ def test_unknown_agent_rejected(community):
         community.index_of(99)
 
 
-def test_round_trip(tmp_path, community):
-    out = tmp_path / "agents.csv"
-    save_agents(community, str(out))
-    again = load_agents(str(out))
-    assert again.agents == community.agents
-
-
 def test_unknown_bus_reference_rejected(tmp_path, network):
-    rows = [
-        (1, 1, PRODUCER, 0.1, 20.0, 0.0, 0.0, 100.0),
-        (2, 999, CONSUMER, 0.1, 80.0, 0.0, -100.0, 0.0),
-    ]
-    save_agents(build_community(rows), str(tmp_path / "bad.csv"))
+    path = tmp_path / "bad.csv"
+    path.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                    "1,1,producer,0.1,20,0,0,100\n"
+                    "2,999,consumer,0.1,80,0,-100,0\n")
     with pytest.raises(ValidationError, match="unknown bus"):
-        load_agents(str(tmp_path / "bad.csv"), network=network)
+        load_agents(str(path), network=network)
 
 
 def test_header_required(tmp_path):
@@ -181,12 +171,6 @@ def test_explicit_partner_list():
     assert not mask[1, 2]
 
 
-def test_partner_file_round_trip(tmp_path):
-    path = tmp_path / "partners.csv"
-    path.write_text("agent_id,partner_id\n1,3\n2,3\n")
-    assert load_partners(str(path)) == [(1, 3), (2, 3)]
-
-
 def test_same_role_partnership_rejected():
     # consumers 2 and 3 can never trade with each other: of the 6 ordered
     # pairs these partnerships list, 2 would carry dead state
@@ -197,18 +181,6 @@ def test_same_role_partnership_rejected():
     ]
     with pytest.raises(ValidationError, match=r"\(2, 3\) joins two consumers"):
         build_community(rows, partners=[(1, 2), (1, 3), (2, 3)])
-
-
-def test_same_role_partnership_from_file_rejected(tmp_path):
-    agents = tmp_path / "agents.csv"
-    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
-                      "1,1,producer,0.1,20,0,0,100\n"
-                      "2,2,producer,0.1,25,0,0,100\n"
-                      "3,3,consumer,0.1,80,0,-100,0\n")
-    partners = tmp_path / "partners.csv"
-    partners.write_text("agent_id,partner_id\n1,3\n1,2\n")
-    with pytest.raises(ValidationError, match="joins two producers"):
-        load_agents(str(agents), partners=load_partners(str(partners)))
 
 
 def test_self_partnership_rejected():

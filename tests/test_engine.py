@@ -19,7 +19,6 @@ from peermarket import (
     build_community,
     build_gamma,
     clear_market,
-    kkt_residual,
     load_agents,
     load_network,
     load_scenario,
@@ -32,6 +31,7 @@ from peermarket.engine import (
     _PairTerms,
     _bisect,
     _coordinator_step,
+    _kkt_max,
     _local_step,
     _multipliers,
     _price_step,
@@ -348,6 +348,17 @@ def test_infeasible_market_raises():
         clear_market(com)
 
 
+def test_forced_agent_without_partner_raises():
+    # consumer 3 must buy at least 50 MW but partners with nobody; the
+    # aggregate bounds admit it, so only its partner count tells
+    rows = triple_community_rows()
+    rows[1] = (2, 2, "consumer", 0.1, 80.0, 0.0, -100.0, 0.0)
+    rows[2] = (3, 3, "consumer", 0.1, 75.0, 0.0, -100.0, -50.0)
+    com = build_community(rows, partners=[(1, 2)])
+    with pytest.raises(InfeasibleError, match="agent 3 must trade but has no partner"):
+        clear_market(com)
+
+
 def test_converged_run_respects_bounds():
     # the consumer may buy at most 134.6 MW; a stop rule that only checked
     # bounds with a positive multiplier flagged a run buying 142.36 MW with
@@ -533,14 +544,16 @@ def test_new_england_kkt_tracks_tolerance(community):
 
 def test_kkt_zero_at_exact_optimum(pair_community):
     result = clear_market(pair_community)
-    assert kkt_residual(result, pair_community) == pytest.approx(0.0, abs=1e-9)
+    assert result.kkt_residual == pytest.approx(0.0, abs=1e-9)
 
 
 def test_kkt_detects_price_perturbation(pair_community):
     result = clear_market(pair_community)
-    bumped = result.prices + np.array([[0.0, 1.0], [0.0, 0.0]])
-    perturbed = dataclasses.replace(result, prices=bumped)
-    assert kkt_residual(perturbed, pair_community) >= 1.0 - 1e-6
+    at = (pair_community.src, pair_community.dst)
+    bumped = result.prices[at] + np.array([1.0, 0.0])
+    pairs = _PairTerms.gather(pair_community, np.zeros((2, 2)))
+    residual = _kkt_max(result.proposals[at], bumped, result.marginals, pair_community, pairs)
+    assert residual >= 1.0 - 1e-6
 
 
 def test_fee_monotone_volume(community):
@@ -598,13 +611,11 @@ def test_prices_stay_exactly_symmetric(market):
 @settings(max_examples=25, deadline=None)
 @given(priced_markets(), st.sampled_from([3, SolverConfig().max_iterations]))
 def test_kkt_residual_reads_the_marginals(market, cap):
-    # the run, its result and kkt_residual judge stationarity by one
-    # expression, lambda_n - (y - gamma); it agrees with the marginal-cost
-    # form a * total + b + mu_hi - mu_lo - (y - gamma) up to the local
-    # step's root tolerance
+    # the run and its result judge stationarity by one expression, lambda_n
+    # - (y - gamma); it agrees with the marginal-cost form a * total + b +
+    # mu_hi - mu_lo - (y - gamma) up to the local step's root tolerance
     com, gamma = build_market(*market)
     result = clear_market(com, gamma, SolverConfig(max_iterations=cap))
-    assert kkt_residual(result, com, gamma) == result.kkt_residual
     at = (com.src, com.dst)
     mu_hi, mu_lo = multipliers(com, result.marginals)
     marginal = com.a * result.proposals.sum(axis=1) + com.b + mu_hi - mu_lo

@@ -10,7 +10,6 @@ from peermarket import (
     ValidationError,
     load_network,
     net_injections,
-    save_network,
     susceptance_matrix,
 )
 from peermarket.network import Bus, Line, Network
@@ -80,15 +79,6 @@ def test_parse_error_carries_line_context(tmp_path):
 def test_unknown_bus_lookup_rejected(network):
     with pytest.raises(ValidationError):
         network.bus_index(99)
-
-
-def test_round_trip(tmp_path, network):
-    out = tmp_path / "copy.net"
-    save_network(network, str(out))
-    again = load_network(str(out))
-    assert [(b.id, b.zone) for b in again.buses] == [(b.id, b.zone) for b in network.buses]
-    assert [(l.from_bus, l.to_bus, l.reactance, l.capacity) for l in again.lines] == \
-           [(l.from_bus, l.to_bus, l.reactance, l.capacity) for l in network.lines]
 
 
 def test_susceptance_two_bus(tmp_path):

@@ -13,7 +13,6 @@ from peermarket import (
     PolicySpec,
     SolverConfig,
     ValidationError,
-    agent_payment,
     build_gamma,
     clear_market,
     perceived_price,
@@ -95,22 +94,6 @@ def test_perceived_price():
     assert perceived_price(58.1, -5.0) == pytest.approx(63.1)
     assert perceived_price(58.1, 5.0) == pytest.approx(53.1)
     assert perceived_price(58.1, 0.0) == 58.1
-
-
-def test_agent_payment_producer_side():
-    total, operator = agent_payment([10.0], [60.0], [5.0])
-    assert total == pytest.approx(550.0)
-    assert operator == pytest.approx(50.0)
-
-
-def test_agent_payment_consumer_side():
-    total, operator = agent_payment([-10.0], [60.0], [-5.0])
-    assert total == pytest.approx(-650.0)
-    assert operator == pytest.approx(50.0)
-
-
-def test_agent_payment_no_trades():
-    assert agent_payment([0.0, 0.0], [60.0, 61.0], [5.0, 5.0]) == (0.0, 0.0)
 
 
 def test_operator_revenue_unique_closed_form(pair_community):

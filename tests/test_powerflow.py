@@ -11,7 +11,6 @@ from peermarket import (
     interzone_exchange,
     line_rates,
     net_injections,
-    tie_line_flow,
 )
 from peermarket.network import Bus, Line, Network
 
@@ -144,9 +143,3 @@ def test_interzone_counts_each_trade_once():
     report = interzone_exchange(com, trades, two_zone())
     assert report.total == pytest.approx(20.0)
 
-
-def test_tie_line_flow():
-    net = two_zone()
-    injections = np.array([50.0, 0.0, 0.0, -50.0])
-    flows = dc_power_flow(net, injections)
-    assert tie_line_flow(flows, net) == pytest.approx(50.0)
