@@ -125,6 +125,7 @@ def _metric_pairs(policy, config, result, community, gamma, summary, report, exc
     volume = float(result.net_powers[result.net_powers > 0].sum())
     pairs += [
         ("run.converged", "true" if result.converged else "false"),
+        ("run.stop", result.stop),
         ("run.iterations", str(result.iterations)),
         ("run.primal_residual", fmt(result.primal_residuals[-1])),
         ("run.kkt_residual", fmt(result.kkt_residual)),
@@ -195,7 +196,7 @@ def cmd_run(args, parser):
         pairs += _oracle_pairs(policy, community, gamma, result)
     reports.write_metrics(os.path.join(out, "metrics.txt"), pairs)
 
-    status = "converged" if result.converged else "NOT converged (flagged in metrics)"
+    status = result.stop if result.converged else "NOT converged (flagged in metrics)"
     print(f"{policy.kind} policy, fee {policy.fee:.4f}: {status} in {result.iterations} iterations")
     print(f"clearing price {reports.clearing_price(result):.4f}, volume "
           f"{float(result.net_powers[result.net_powers > 0].sum()):.1f} MW")

@@ -15,6 +15,8 @@ One iteration advances, in order:
   p_min, p_max), a monotone piecewise-linear root found by semismooth
   Newton (``_local_step``);
 * the coordinator copy Z = (P - P^T)/2;
+* the polish below, tried only when the set of pairs that trade has
+  changed since its last try;
 * the stop check below; the last iteration the cap allows ends here, so a
   capped run, like a converged one, reports the prices its proposals
   answered;
@@ -45,6 +47,25 @@ multipliers is its lambda_n, and the stationarity a p + b + mu - (y -
 gamma) of pair n->m is lambda_n - (y_nm - gamma_nm) (``_kkt_max``). The
 stop check and the result's ``kkt_residual`` both read it in that form.
 
+The polish finishes the run exactly once the engine has found which pairs
+trade, as OSQP's solution polishing does (Stellato et al., Math. Prog.
+Comp. 12, 2020, section 5.2). At the optimum every pair that trades has
+lambda_c - lambda_s = gamma_sc - gamma_cs between its buyer c and seller s,
+and no pair more. So a maximum spanning forest of the trading pairs by
+volume fixes the lambda differences, each component's one free lambda
+balances its totals exactly, and an agent that trades nothing sits at zero
+with lambda = b. If no pair then exceeds its wedge and a transport flow on
+the pairs that meet it gives every agent its total, the point satisfies the
+optimality conditions up to rounding (``_polish``); the cheapest tests run
+first.
+A polished result reports that flow as its trades and proposals, the
+polished lambda, and the engine's prices clipped into [lambda_c + gamma_cs,
+lambda_s + gamma_sc], the range in which both sides are stationary. Where
+the optimal split is not unique, as under a free market or a uniform fee,
+the flow is the vertex ``community._transport`` finds, which depends only
+on the totals, the pairs that meet their wedge and the pair-list order. The stop check remains for runs the
+polish cannot finish; ``ClearingResult.stop`` says which ended the run.
+
 The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
 partners and made reciprocal (``_opening``).
@@ -57,8 +78,9 @@ penalty scale s. The stop check reads the accepted trades and their net
 powers on the same list; the result's are built once, at return, where
 trades, proposals and prices become N x N matrices. The per-pair and
 per-agent constants are gathered once per market (``_PairTerms``,
-``_LocalTerms``). All per-agent updates within one iteration read only the
-frozen previous state, so the sweep order never affects the result.
+``_LocalTerms``, ``_PolishTerms``). All per-agent updates within one
+iteration read only the frozen previous state, so the sweep order never
+affects the result.
 """
 
 from __future__ import annotations
@@ -68,7 +90,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .community import check_feasible, validate_gamma
+from .community import _transport, check_feasible, validate_gamma
 from .errors import ValidationError
 
 ACTIVE_TRADE_TOL = 1e-6  # MW below which a trade counts as zero in KKT checks
@@ -77,6 +99,7 @@ NEWTON_STEPS = 8         # per local step; a bracketed bisection takes over afte
 BISECTION_STEPS = 200    # halvings at most; it stops once every miss is within ROOT_TOL
 BALANCE_RATIO = 10.0     # residual balancing acts when one residual exceeds the other this much
 SCALE_LIMIT = 2.0 ** 40  # the penalty scale s stays within [1/limit, limit]
+TIGHT_RTOL = 1e-12       # price slack of a tight pair, relative to the market's prices
 
 
 @dataclass(frozen=True)
@@ -112,7 +135,7 @@ def _opening(community, local):
     ignored. Each agent's best response, split evenly over its partners, is
     made reciprocal, P = Z = (B - B^T)/2, so the opening excess is zero.
     Each marginal starts at the agent's own b."""
-    price = _balancing_price(local)
+    price = float(_balancing_price(local)[0])
     best = np.minimum(local.total_hi, np.maximum(
         local.total_lo, (price - community.b) * local.inv_a))
     share = (best / np.maximum(community.partner_count, 1))[community.src]
@@ -120,23 +143,37 @@ def _opening(community, local):
     return Z, np.full(len(Z), price), community.b.copy()
 
 
-def _balancing_price(local):
-    """The price y at which the agents' totals clip((y - b)/a, lo, hi) sum
-    to zero. The sum rises piecewise linearly between the marginal costs
-    at the agents' bounds, so the root is exact from those kinks sorted;
-    where the sum cannot reach zero, the nearest kink."""
-    kinks = np.concatenate((local.marginal_lo, local.marginal_hi))
-    order = np.argsort(kinks, kind="stable")
+def _balancing_price(local, members=slice(None), group=None, offset=0.0):
+    """Per group of the members, the price y at which their totals
+    clip((y + offset - b)/a, lo, hi) sum to zero; ``group`` labels the
+    members 0, 1, ..., and by default they form one group. A group's sum
+    rises piecewise linearly between the marginal costs at its agents'
+    bounds, so the root is exact from those kinks sorted; where the sum
+    cannot reach zero, the nearest kink."""
+    inv_a = local.inv_a[members]
+    if group is None:
+        group = np.zeros(len(inv_a), dtype=np.intp)
+    kinks = np.concatenate((local.marginal_lo[members] - offset,
+                            local.marginal_hi[members] - offset))
+    order = np.lexsort((kinks, np.concatenate((group, group))))
     at = kinks[order]
-    slope = np.cumsum(np.concatenate((local.inv_a, -local.inv_a))[order])
-    # the sum at each kink after the first, less its value sum(lo) below all
-    rise = np.cumsum(slope[:-1] * (at[1:] - at[:-1]))
-    short = -float(local.total_lo.sum())
-    k = int(np.searchsorted(rise, short))
-    if k == len(rise):
-        return float(at[-1])
+    count = 2 * np.bincount(group)
+    end = count.cumsum() - 1
+    start = end + 1 - count
+    # a group's slope falls back to zero after its last kink, up to rounding
+    slope = np.concatenate((inv_a, -inv_a))[order].cumsum()
+    # the sum at each kink, less its value sum(lo) below the group's first
+    piece = slope[:-1] * (at[1:] - at[:-1])
+    piece[end[:-1]] = 0.0
+    rise = np.concatenate(([0.0], piece.cumsum()))
+    base = rise[start]
+    short = base - np.bincount(group, local.total_lo[members])
+    below = rise < np.repeat(short, count)
+    below[start] = False
     # the root lies between kinks k and k + 1, where the slope is slope[k]
-    return float(at[k] + (short - (rise[k - 1] if k else 0.0)) / slope[k])
+    k = start + np.add.reduceat(below, start, dtype=np.intp)
+    inner = np.minimum(k, end - 1)
+    return np.where(k < end, at[inner] + (short - rise[inner]) / slope[inner], at[end])
 
 
 @dataclass(frozen=True)
@@ -154,7 +191,11 @@ class ClearingResult:
     the proposals answered, also at the iteration cap. ``kkt_residual`` is
     the worst stationarity violation of the proposals over all partnered
     pairs (€/MW); bound complementarity is enforced by the stop rule and is
-    not part of it.
+    not part of it. ``stop`` says why the run ended: ``"polished"`` at an
+    exact optimum (``_polish``), ``"converged"`` by the stop rule, or
+    ``"cap"`` at ``max_iterations``. A polished result's proposals are its
+    trades, its marginals the polished lambda, and the last of its
+    ``primal_residuals`` is the polished point's, 0.
     """
 
     trades: np.ndarray
@@ -166,6 +207,7 @@ class ClearingResult:
     converged: bool
     primal_residuals: np.ndarray
     kkt_residual: float
+    stop: str
 
 
 class _PairTerms(NamedTuple):
@@ -218,6 +260,123 @@ class _LocalTerms(NamedTuple):
                    np.concatenate((np.where(seller, np.inf, 0.0), -total_lo)),
                    inv_a, total_lo, total_hi,
                    community.a * total_lo + community.b, community.a * total_hi + community.b)
+
+
+class _PolishTerms(NamedTuple):
+    """Per-market constants of the polish, one column per seller-side
+    pair: ``ends`` holds the seller, the buyer, the pair's position in the
+    list and that of its opposite side; ``fees`` the two sides' fees and
+    ``wedge`` gamma_sc - gamma_cs. Also the agents that cannot sit at zero,
+    and the price slack within which a pair counts as tight: a fixed
+    fraction of the market's largest marginal cost or fee, so that it
+    scales with the cost unit."""
+
+    ends: np.ndarray
+    fees: np.ndarray
+    wedge: np.ndarray
+    forced: np.ndarray
+    tol: float
+
+    @classmethod
+    def gather(cls, community, pairs, local):
+        sold = (pairs.sign > 0.0).nonzero()[0]
+        ends = np.concatenate((community.src[sold], community.dst[sold], sold,
+                               community.rev[sold])).reshape(4, -1)
+        fees = pairs.gamma[ends[2:]]
+        scale = np.abs(np.concatenate((local.marginal_lo, local.marginal_hi, pairs.gamma))).max()
+        forced = (local.total_lo > 0.0) | (local.total_hi < 0.0)
+        return cls(ends, fees, fees[0] - fees[1], forced, TIGHT_RTOL * float(scale))
+
+
+def _forest(n, ends, wedge):
+    """A maximum spanning forest of the edges ends[0] -> ends[1], listed
+    heaviest first, by Boruvka's rounds: every component hooks onto the
+    component at the other end of its heaviest leaving edge, and of two
+    that pick one edge the smaller label stays the root. Returns each
+    node's component label and its offset from the component's root, with
+    offset[head] - offset[tail] = wedge along every forest edge; each hook
+    carries its shift through the pointer jumping."""
+    label = np.arange(n)
+    offset = np.zeros(n)
+    none = len(wedge)
+    while True:
+        at = label[ends]
+        leaving = (at[0] != at[1]).nonzero()[0]
+        if not len(leaving):
+            return label, offset
+        # ranks are distinct, so a component's smallest is its heaviest edge
+        best = np.full(n, none)
+        np.minimum.at(best, at[:, leaving].ravel(), np.concatenate((leaving, leaving)))
+        comps = (best < none).nonzero()[0]
+        edge = best[comps]
+        hook = at[:, edge]
+        other = hook[0] + hook[1] - comps
+        gap = offset[ends[:, edge]]
+        miss = gap[1] - gap[0] - wedge[edge]
+        parent = np.arange(n)
+        parent[comps] = other
+        shift = np.zeros(n)
+        shift[comps] = np.where(hook[0] == comps, miss, -miss)
+        root = comps[(parent[other] == comps) & (comps < other)]
+        parent[root] = root
+        shift[root] = 0.0
+        while True:
+            up = parent[parent]
+            if not np.count_nonzero(up != parent):
+                break
+            shift += shift[parent]
+            parent = up
+        offset += shift[label]
+        label = parent[label]
+
+
+def _polish(P, y, trading, community, local, terms):
+    """The exact optimum on the pairs that trade, or None. Trading pairs
+    fix the differences of the agents' lambda along a maximum spanning
+    forest by volume, lambda_c - lambda_s = wedge; each component's one
+    free lambda balances its totals exactly (``_balancing_price``), and an
+    agent that trades nothing sits at zero with lambda = b. The point is
+    the optimum when no pair has lambda_c - lambda_s above its wedge and a
+    transport flow on the pairs where it is equal meets every total: those
+    are the complementary-slackness conditions of a convex-cost flow
+    (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9 and 14). The
+    cheap tests run first; only the last calls ``_transport``. Returns the
+    flow per pair, the prices and lambda."""
+    n = len(community.agents)
+    chosen = trading.nonzero()[0]
+    ends = terms.ends[:, chosen]
+    traded = np.zeros(n, dtype=bool)
+    traded[ends[:2]] = True
+    if np.count_nonzero(terms.forced > traded):
+        return None
+    sides = P[ends[2:]]
+    order = np.argsort(np.maximum(-sides[0], sides[1]), kind="stable")
+    label, offset = _forest(n, ends[:2, order], terms.wedge[chosen[order]])
+    members = traded.nonzero()[0]
+    # components numbered 0, 1, ... in the order of their roots
+    root = np.zeros(n, dtype=np.intp)
+    root[label[members]] = 1
+    group = (root.cumsum() - 1)[label[members]]
+    lam = community.b.copy()
+    if len(members):
+        lam[members] = offset[members] + _balancing_price(local, members, group,
+                                                          offset[members])[group]
+    marginal = lam[terms.ends[:2]]
+    slack = terms.wedge - (marginal[1] - marginal[0])
+    if np.count_nonzero(slack < -terms.tol):
+        return None
+    totals = np.minimum(local.total_hi, np.maximum(local.total_lo,
+                                                   (lam - community.b) * local.inv_a))
+    flow = _transport(community, terms.ends[2, slack <= terms.tol], totals, totals, ROOT_TOL)
+    if flow is None:
+        return None
+    # every price between the two sides' marginals plus fees leaves both
+    # stationary; the engine's own, clipped into that range
+    marginal += terms.fees
+    sold = np.minimum(marginal[0], np.maximum(marginal[1], y[terms.ends[2]]))
+    prices = np.empty_like(y)
+    prices[terms.ends[2:]] = sold
+    return flow, prices, lam
 
 
 def _row_sums(community, values):
@@ -338,9 +497,11 @@ def _on_grid(values, community):
 def clear_market(community, gamma=None, config=None):
     """Run the negotiation to equilibrium.
 
-    Non-convergence is reported through the ``converged`` flag with the full
-    primal residual history, never as an exception; a market that
-    ``check_feasible`` rejects raises InfeasibleError.
+    The run ends polished, converged by the stop rule or at the iteration
+    cap, as ``ClearingResult.stop`` records. Non-convergence is reported
+    through the ``converged`` flag with the full primal residual history,
+    never as an exception; a market that ``check_feasible`` rejects raises
+    InfeasibleError.
     """
     config = config if config is not None else SolverConfig()
     gamma = validate_gamma(community, gamma)
@@ -357,6 +518,8 @@ def clear_market(community, gamma=None, config=None):
 
     Z, y, lam = _opening(community, local)
     s, rho, rho_half = 1.0, pairs.gain, 0.5 * pairs.gain
+    polish = _PolishTerms.gather(community, pairs, local)
+    tried = None
     primal_hist = []
     for iterations in range(1, config.max_iterations + 1):
         Z_old = Z
@@ -367,6 +530,19 @@ def clear_market(community, gamma=None, config=None):
         Z, excess = _coordinator_step(P, community.rev)
         # P - Z is half the pair excess
         primal_hist.append(0.5 * float(np.abs(excess).max(initial=0.0)))
+        # the sign boxes make a seller-side pair trade where both sides are
+        # nonzero; the polish is tried whenever that set changes
+        sides = P[polish.ends[2:]]
+        trading = sides[0] * sides[1] < 0.0
+        key = trading.tobytes()
+        if key != tried:
+            tried = key
+            exact = _polish(P, y, trading, community, local, polish)
+            if exact is not None:
+                flow, prices, lam = exact
+                primal_hist[-1] = 0.0
+                return _result(flow, flow, prices, lam, iterations, primal_hist,
+                               community, pairs, "polished")
         converged = (primal_hist[-1] <= config.eps_primal
                      and _kkt_max(P, y, lam, community, pairs) <= config.eps_price
                      and _bounds_hold(P, Z, lam, community, local, config.eps_primal))
@@ -384,13 +560,18 @@ def clear_market(community, gamma=None, config=None):
                 np.divide(1.0, rho, out=inv_rho[:n_pairs])
                 floor = _slope_floor(inv_rho)
 
-    trades = _accepted_trades(P, community.rev)
+    return _result(_accepted_trades(P, community.rev), P, y, lam, iterations, primal_hist,
+                   community, pairs, "converged" if converged else "cap")
+
+
+def _result(trades, proposals, prices, lam, iterations, primal_hist, community, pairs, stop):
+    """The result of a run that ended with these per-pair arrays."""
     return ClearingResult(
-        trades=_on_grid(trades, community), proposals=_on_grid(P, community),
-        prices=_on_grid(y, community), net_powers=_row_sums(community, trades),
-        marginals=lam, iterations=iterations, converged=converged,
+        trades=_on_grid(trades, community), proposals=_on_grid(proposals, community),
+        prices=_on_grid(prices, community), net_powers=_row_sums(community, trades),
+        marginals=lam, iterations=iterations, converged=stop != "cap",
         primal_residuals=np.asarray(primal_hist),
-        kkt_residual=_kkt_max(P, y, lam, community, pairs))
+        kkt_residual=_kkt_max(proposals, prices, lam, community, pairs), stop=stop)
 
 
 def _bounds_hold(P, Z, lam, community, local, eps_primal):

@@ -1,7 +1,7 @@
 """Delimited-text report writers and readers.
 
 Every emitted file starts with a ``# peermarket <kind> v<n>`` marker line:
-v5 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
+v6 for ``metrics``, v2 for ``residuals``, v1 for every other kind. Output is
 deterministic: fixed agent and line ordering, fixed float formats (a value
 that rounds to zero never prints a minus sign), and no timestamps or
 machine-specific content, so identical inputs give byte-identical files.
@@ -19,7 +19,7 @@ from .sweep import SweepRecord
 
 PLOT_THRESHOLD = 1e-2  # MW; below this a trade is noise on a market map
 
-_VERSIONS = {"metrics": 5, "residuals": 2}  # every other kind is at v1
+_VERSIONS = {"metrics": 6, "residuals": 2}  # every other kind is at v1
 
 TRADE_COLUMNS = ["n", "m", "trade_mw", "price", "gamma", "perceived_price"]
 SWEEP_COLUMNS = ["fee", "converged", "iterations", "volume_mw", "gamma_so",
@@ -102,7 +102,8 @@ def write_trades(path, community, result, gamma):
 
 
 def read_trade_net_powers(path, community):
-    """Per-agent net power, in community order, from a trades file."""
+    """Per-agent net power, in community order, from a trades file. Each
+    row must trade a finite volume between a producer and a consumer."""
     by_id = {agent.id: i for i, agent in enumerate(community.agents)}
     nets = np.zeros(len(community.agents))
     for lineno, parts in _read(path, "trades", TRADE_COLUMNS):
@@ -114,6 +115,13 @@ def read_trade_net_powers(path, community):
         for agent in (n, m):
             if agent not in by_id:
                 raise ValidationError(f"{path}:{lineno}: unknown agent id {agent}")
+        if not np.isfinite(mw):
+            raise ValidationError(f"{path}:{lineno}: trade volume must be finite")
+        if n == m:
+            raise ValidationError(f"{path}:{lineno}: agent {n} cannot trade with itself")
+        if community.sign[by_id[n]] == community.sign[by_id[m]]:
+            raise ValidationError(f"{path}:{lineno}: agents {n} and {m} are both "
+                                  f"{community.agents[by_id[n]].role}s")
         nets[by_id[n]] += mw
     return nets
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import AGENTS_FILE, NETWORK_FILE
+from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE
 from peermarket import bisection_clearing
 from peermarket.cli import MAX_FEE_POINTS, main
 
 FAST_SOLVER = ["--eps-primal", "0.05", "--max-iterations", "8000"]
+# the bundled distance scenario polishes at iteration 30, so earlier stops show
+DISTANCE_SCENARIO = str(DATA_DIR / "distance.ini")
 
 
 def cli(*argv):
@@ -145,7 +147,7 @@ def test_run_writes_reports(tmp_path, free_scenario):
     residuals = (out / "residuals.csv").read_text().splitlines()
     assert residuals[:2] == ["# peermarket residuals v2", "iteration,primal_residual"]
     metrics = (out / "metrics.txt").read_text()
-    assert metrics.startswith("# peermarket metrics v5\n")
+    assert metrics.startswith("# peermarket metrics v6\n")
     assert "market.clearing_price" in metrics
     assert "run.converged = true" in metrics
 
@@ -158,12 +160,23 @@ def test_run_is_deterministic(tmp_path, free_scenario):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
-def test_non_convergence_still_exits_0(tmp_path, free_scenario):
+def test_non_convergence_still_exits_0(tmp_path):
     out = tmp_path / "out"
-    code = cli("run", free_scenario, "--output", str(out),
-               "--eps-primal", "1e-9", "--max-iterations", "50")
+    code = cli("run", DISTANCE_SCENARIO, "--output", str(out),
+               "--eps-primal", "1e-9", "--max-iterations", "5")
     assert code == 0
     assert "run.converged = false" in (out / "metrics.txt").read_text()
+
+
+@pytest.mark.parametrize("flags, stop", [
+    ([], "polished"),
+    (["--eps-price", "10", "--eps-primal", "100"], "converged"),
+    (["--max-iterations", "5"], "cap"),
+])
+def test_metrics_report_why_the_run_stopped(tmp_path, flags, stop):
+    out = tmp_path / "out"
+    assert cli("run", DISTANCE_SCENARIO, "--output", str(out), *flags) == 0
+    assert f"\nrun.stop = {stop}\n" in (out / "metrics.txt").read_text()
 
 
 def test_run_verify_embeds_oracle_deltas(tmp_path, free_scenario):
@@ -286,6 +299,23 @@ def test_powerflow_rejects_bad_counterpart(tmp_path, capsys, m, message):
     assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, str(trades),
                "--output", str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("22,1,nan", "trade volume must be finite"),
+    ("22,1,inf", "trade volume must be finite"),
+    ("1,1,10", "agent 1 cannot trade with itself"),
+    ("1,2,25", "agents 1 and 2 are both consumers"),
+])
+def test_powerflow_rejects_impossible_trade(tmp_path, capsys, row, message):
+    trades = tmp_path / "trades.csv"
+    trades.write_text("# peermarket trades v1\n"
+                      "n,m,trade_mw,price,gamma,perceived_price\n"
+                      f"{row},50,0,50\n")
+    assert cli("powerflow", NETWORK_FILE, AGENTS_FILE, str(trades),
+               "--output", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "powerflow.csv").exists()
 
 
 def test_sweep_and_recommend(tmp_path):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import AGENTS_FILE, mutate, row_edits, write_rows
 from peermarket import (
@@ -15,6 +15,7 @@ from peermarket import (
     build_community,
     load_agents,
 )
+from peermarket.community import _transport
 
 
 def test_bundled_census(community):
@@ -190,6 +191,97 @@ def test_self_partnership_rejected():
     ]
     with pytest.raises(ValidationError):
         build_community(rows, partners=[(1, 1)])
+
+
+@st.composite
+def transport_markets(draw):
+    """2-8 agents of both roles with whole-MW bounds, a random list of
+    producer-consumer partnerships, and a whole-MW flow on a random subset
+    of those pairs, as the community and that flow per seller-side pair."""
+    n = draw(st.integers(2, 8))
+    producers = draw(st.integers(1, n - 1))
+    rows = []
+    for i in range(n):
+        low = draw(st.integers(0, 60))
+        high = low + draw(st.integers(0, 60))
+        bounds = (low, high) if i < producers else (-high, -low)
+        rows.append((i + 1, i + 1, PRODUCER if i < producers else CONSUMER,
+                     0.1, 50.0, 0.0, float(bounds[0]), float(bounds[1])))
+    pairs = [(p + 1, c + 1) for p in range(producers) for c in range(producers, n)]
+    com = build_community(rows, partners=draw(st.lists(st.sampled_from(pairs), unique=True)))
+    sold = np.flatnonzero(com.sign[com.src] > 0)
+    volume = draw(st.lists(st.integers(0, 40), min_size=len(sold), max_size=len(sold)))
+    return com, np.array(volume, dtype=float)
+
+
+def linprog_feasible(com, pairs, lo, hi):
+    """Whether scipy's HiGHS finds f >= 0 on the pairs with totals in [lo, hi]."""
+    optimize = pytest.importorskip("scipy.optimize")
+    totals = np.zeros((len(com), len(pairs)))
+    totals[com.src[pairs], np.arange(len(pairs))] = 1.0
+    totals[com.dst[pairs], np.arange(len(pairs))] = -1.0
+    if not len(pairs):
+        return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0))
+    result = optimize.linprog(np.zeros(len(pairs)), A_ub=np.vstack((totals, -totals)),
+                              b_ub=np.concatenate((hi, -lo)), bounds=(0, None),
+                              method="highs")
+    return result.status == 0
+
+
+def check_flow(com, pairs, flow, lo, hi):
+    """A flow of ``_transport``: skew, nonnegative where sold, zero off the
+    listed pairs, every total within [lo, hi] up to 1e-9 MW, and a vertex:
+    the pairs that carry flow form a forest."""
+    assert np.array_equal(flow[com.rev], -flow)
+    listed = np.zeros(len(flow), dtype=bool)
+    listed[pairs] = listed[com.rev[pairs]] = True
+    assert not flow[~listed].any()
+    assert np.all(flow[pairs] >= 0.0)
+    totals = np.bincount(com.src, flow, len(com))
+    assert np.all(totals >= lo - 1e-9) and np.all(totals <= hi + 1e-9)
+    root = list(range(len(com)))
+
+    def find(node):
+        while root[node] != node:
+            node = root[node]
+        return node
+
+    for pair in pairs[flow[pairs] > 0.0]:
+        ends = find(com.src[pair]), find(com.dst[pair])
+        assert ends[0] != ends[1], "the pairs that carry flow close a cycle"
+        root[ends[0]] = ends[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(transport_markets())
+def test_transport_agrees_with_linprog_on_bounds(market):
+    # the feasibility test of check_feasible: a flow on every partnered
+    # pair that keeps each agent within its bounds
+    com, _ = market
+    pairs = np.flatnonzero(com.sign[com.src] > 0)
+    flow = _transport(com, pairs, com.p_min, com.p_max, 1e-9)
+    assert (flow is not None) == linprog_feasible(com, pairs, com.p_min, com.p_max)
+    if flow is not None:
+        check_flow(com, pairs, flow, com.p_min, com.p_max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transport_markets(), st.data())
+def test_transport_agrees_with_linprog_on_totals(market, data):
+    # the polish's question: given exact totals, a flow on a subset of the
+    # pairs; the totals come from a flow on the pairs, so every pair may
+    # carry them, and a subset may or may not
+    com, volume = market
+    sold = np.flatnonzero(com.sign[com.src] > 0)
+    totals = np.bincount(com.src[sold], volume, len(com)) \
+        - np.bincount(com.dst[sold], volume, len(com))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(sold), max_size=len(sold)))
+    for pairs in (sold, sold[np.array(keep, dtype=bool)]):
+        flow = _transport(com, pairs, totals, totals, 1e-9)
+        assert (flow is not None) == linprog_feasible(com, pairs, totals, totals)
+        if flow is not None:
+            check_flow(com, pairs, flow, totals, totals)
+    assert _transport(com, sold, totals, totals, 1e-9) is not None
 
 
 # Tokens for the fuzz: garbage, non-finite and negative numbers, a huge

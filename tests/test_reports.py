@@ -29,7 +29,7 @@ def test_reports_print_rounded_zero_unsigned(tmp_path):
     assert (tmp_path / "powerflow.csv").read_text().splitlines()[2] == "1,2,0.000000,0.000000"
     write_metrics(tmp_path / "metrics.txt", [("market.balance_mw", fmt(-1e-9))])
     assert (tmp_path / "metrics.txt").read_text() == (
-        "# peermarket metrics v5\nmarket.balance_mw = 0.000000\n")
+        "# peermarket metrics v6\nmarket.balance_mw = 0.000000\n")
 
 
 def test_write_trades_matches_per_pair_lookups(tmp_path, community, free_result):
