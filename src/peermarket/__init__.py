@@ -21,10 +21,8 @@ from .distances import (
     PathResult,
     POWER_TRANSFER,
     THEVENIN,
-    bus_impedance_matrix,
     distance_matrix,
     power_transfer_distance,
-    ptdf_matrix,
     shortest_path,
     thevenin_line_weights,
     zone_crossing_matrix,
@@ -109,7 +107,6 @@ __all__ = [
     "bisection_clearing",
     "build_community",
     "build_gamma",
-    "bus_impedance_matrix",
     "clear_market",
     "congestion_report",
     "dc_power_flow",
@@ -123,7 +120,6 @@ __all__ = [
     "net_injections",
     "perceived_price",
     "power_transfer_distance",
-    "ptdf_matrix",
     "qp_reference",
     "recommend_fee",
     "run_sweep",

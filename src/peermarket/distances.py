@@ -8,8 +8,9 @@ better behaved choice on meshed grids. Both are dimensionless and symmetric.
 The agent matrices, ``distance_matrix`` and ``zone_crossing_matrix``, are
 plain N x N arrays in community order.
 
-Every grid quantity here is computed from the network's index arrays (see
-``Network``). Shortest paths come from one all-pairs length matrix per call
+Every grid quantity here reads the network's arrays (see ``Network``), its
+``impedance`` and ``ptdf`` included, so nothing here solves the grid.
+Shortest paths come from one all-pairs length matrix per call
 (Floyd-Warshall over the buses), which ``distance_matrix``,
 ``zone_crossing_matrix`` and ``shortest_path`` share; a path's nodes are
 read off it by one greedy walk over the sorted neighbour lists.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .network import agent_buses, susceptance_matrix
+from .network import agent_buses
 
 THEVENIN = "thevenin"
 POWER_TRANSFER = "power_transfer"
@@ -36,41 +37,9 @@ class PathResult:
     zones_visited: tuple
 
 
-def default_reference_bus(network):
-    """Highest-numbered bus, where the susceptance matrix is grounded.
-
-    Every quantity the package reports is the same for any reference bus;
-    a fixed one keeps the rounding reproducible."""
-    return int(network.ids.max())
-
-
-def bus_impedance_matrix(network):
-    """Pseudo-inverse of the susceptance matrix, grounded at the reference bus.
-
-    The reference row/column is zero. Only reference-invariant combinations
-    (Thevenin pair impedances Z_ii + Z_jj - 2 Z_ij, PTDF differences) should
-    be consumed.
-    """
-    return _grounded_solve(network, np.eye(network.n_buses))
-
-
-def _grounded_solve(network, injections):
-    """Bus angles for ``injections`` (one row per bus, one column per case
-    when 2-D) from the susceptance system grounded at the reference bus: its
-    row of the injections is dropped and its angle is zero."""
-    keep = network.ids != default_reference_bus(network)
-    B = susceptance_matrix(network)
-    angles = np.zeros(injections.shape)
-    try:
-        angles[keep] = np.linalg.solve(B[np.ix_(keep, keep)], injections[keep])
-    except np.linalg.LinAlgError:
-        raise ValidationError("susceptance matrix is singular: network disconnected?") from None
-    return angles
-
-
 def thevenin_line_weights(network):
     """Per-line |Z_ii + Z_jj - 2 Z_ij|, ordered like network.lines."""
-    Z = bus_impedance_matrix(network)
+    Z = network.impedance
     i, j = network.line_from, network.line_to
     return np.abs(Z[i, i] + Z[j, j] - 2.0 * Z[i, j])
 
@@ -123,27 +92,11 @@ def _walk(network, edges, lengths, source, target):
                       tuple(dict.fromkeys(network.zones[path].tolist())))
 
 
-def ptdf_matrix(network):
-    """Power transfer distribution factors, lines by buses.
-
-    Entry (l, i) is the MW flow induced on line l (from->to positive) by
-    injecting 1 MW at bus i and withdrawing it at the reference bus, whose
-    column is zero. Applied to balanced injections the result is the same
-    for every reference bus.
-    """
-    Z = bus_impedance_matrix(network)
-    return (Z[network.line_from] - Z[network.line_to]) / network.reactance[:, None]
-
-
 def power_transfer_distance(network, bus_n, bus_m):
-    """Sum over lines of the absolute flow caused by a 1 MW trade n->m,
-    from one grounded solve for that injection."""
-    injection = np.zeros(network.n_buses)
-    injection[network.bus_index(bus_n)] += 1.0
-    injection[network.bus_index(bus_m)] -= 1.0
-    angles = _grounded_solve(network, injection)
-    flows = (angles[network.line_from] - angles[network.line_to]) / network.reactance
-    return float(np.abs(flows).sum())
+    """Sum over lines of the absolute flow caused by a 1 MW trade n->m: the
+    difference of two PTDF columns, summed as ``distance_matrix`` sums it."""
+    n, m = network.bus_index(bus_n), network.bus_index(bus_m)
+    return float(np.abs(network.ptdf[:, n] - network.ptdf[:, m]).sum())
 
 
 def distance_matrix(community, network, metric):
@@ -155,7 +108,7 @@ def distance_matrix(community, network, metric):
     if metric == POWER_TRANSFER:
         # one row of PTDF responses per agent bus, summed over the contiguous
         # line axis as power_transfer_distance sums it
-        cols = np.ascontiguousarray(ptdf_matrix(network)[:, buses].T)
+        cols = np.ascontiguousarray(network.ptdf[:, buses].T)
         lengths = np.abs(cols[:, None, :] - cols[None, :, :]).sum(axis=2)
     else:
         _, lengths = _shortest_lengths(network, thevenin_line_weights(network))

@@ -16,8 +16,10 @@ Grid file grammar (version 1)::
 Reactances are per-unit series reactances on the system base; capacities are
 MW thermal limits. No result depends on the base, so the optional
 ``base_mva`` line is only checked to be positive and finite. Parallel lines
-between the same bus pair are allowed. The graph must be connected and zone
-labels must cover 1..max(zone) without gaps.
+between the same bus pair are allowed. A grid needs a line, each with a
+finite susceptance 1/x; the graph must be connected and zone labels must
+cover 1..max(zone) without gaps. ``Network`` solves the grid once, for the
+impedance and PTDF that every distance and DC flow reads.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ class Network:
     ``neighbours`` (bus positions sorted by ascending bus id). Buses and
     lines are in file order.
 
+    It also holds the grid's one grounded solve: ``impedance``, the bus
+    impedance matrix grounded at ``default_reference_bus`` (its row and
+    column are zero, so read only reference-invariant combinations such as
+    Z_ii + Z_jj - 2 Z_ij), and ``ptdf``, lines by buses: the MW flow on each
+    line (from->to positive) per MW injected at a bus and withdrawn at the
+    reference bus, the same for every reference bus on balanced injections.
+
     Immutable after construction; safe to share between threads.
     """
 
@@ -74,23 +83,31 @@ class Network:
         adjacent[self.line_from, self.line_to] = adjacent[self.line_to, self.line_from] = True
         by_id = np.argsort(self.ids)
         self.neighbours = tuple(tuple(by_id[row[by_id]].tolist()) for row in adjacent)
-        for array in (self.ids, self.zones, self.line_from, self.line_to, self.reactance,
-                      self.capacity):
-            array.flags.writeable = False
         self._check_connected()
+        # connected, with finite susceptances: the grounded system is nonsingular
+        keep = self.ids != default_reference_bus(self)
+        B = susceptance_matrix(self)
+        self.impedance = Z = np.zeros((self.n_buses, self.n_buses))
+        Z[keep] = np.linalg.solve(B[np.ix_(keep, keep)], np.eye(self.n_buses)[keep])
+        self.ptdf = (Z[self.line_from] - Z[self.line_to]) / self.reactance[:, None]
+        for array in (self.ids, self.zones, self.line_from, self.line_to, self.reactance,
+                      self.capacity, self.impedance, self.ptdf):
+            array.flags.writeable = False
 
     def _validate(self):
         if not self.buses:
             raise ValidationError("network has no buses")
+        if not self.lines:
+            raise ValidationError("network has no lines")
         if len(self._pos) != len(self.buses):
             raise ValidationError("duplicate bus ids in network")
         if not all(-2**63 <= bus.id < 2**63 for bus in self.buses):
             raise ValidationError("bus ids must fit in 64 bits")
         for line in self.lines:
-            if not 0.0 < line.reactance < math.inf:
+            if not (0.0 < line.reactance < math.inf and math.isfinite(1.0 / float(line.reactance))):
                 raise ValidationError(
                     f"line {line.from_bus}-{line.to_bus}: reactance must be positive and "
-                    f"finite, got {line.reactance}")
+                    f"finite with a finite susceptance 1/x, got {line.reactance}")
             if not 0.0 < line.capacity < math.inf:
                 raise ValidationError(
                     f"line {line.from_bus}-{line.to_bus}: capacity must be positive and finite")
@@ -132,6 +149,14 @@ class Network:
 def agent_buses(community, network):
     """Position in ``network.buses`` of each agent's bus, in community order."""
     return np.array([network.bus_index(agent.bus) for agent in community.agents], dtype=np.intp)
+
+
+def default_reference_bus(network):
+    """Highest-numbered bus, where the susceptance matrix is grounded.
+
+    Every quantity the package reports is the same for any reference bus;
+    a fixed one keeps the rounding reproducible."""
+    return int(network.ids.max())
 
 
 def susceptance_matrix(network):

@@ -52,12 +52,21 @@ def check_fee(fee):
         raise ValidationError(f"network fee must be nonnegative and finite, got {fee}")
 
 
+def _agent_matrix(values, n, what):
+    """``values`` as a finite, nonnegative n x n float array; no broadcasting."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n, n) or not np.isfinite(values).all() or (values < 0).any():
+        raise ValidationError(f"{what} must be a finite, nonnegative {n} x {n} matrix")
+    return values
+
+
 def build_gamma(policy, community, network=None, distances=None, zone_counts=None):
     """Product differentiation price matrix for a community.
 
     The distance policy needs an agent distance matrix (or a network to
     compute one with policy.metric); the zonal policy needs a zone-crossing
-    matrix (or a network). Entries vanish outside the partnership mask.
+    matrix (or a network), N x N, finite and nonnegative either way.
+    Entries vanish outside the partnership mask.
     """
     n = len(community.agents)
     mask = community.partner_mask()
@@ -70,13 +79,13 @@ def build_gamma(policy, community, network=None, distances=None, zone_counts=Non
             if network is None:
                 raise ValidationError("distance policy needs a distance matrix or a network")
             distances = distance_matrix(community, network, policy.metric)
-        magnitude = policy.fee * distances / 2.0
+        magnitude = policy.fee * _agent_matrix(distances, n, "distances") / 2.0
     else:
         if zone_counts is None:
             if network is None:
                 raise ValidationError("zonal policy needs zone counts or a network")
             zone_counts = zone_crossing_matrix(community, network)
-        magnitude = policy.fee * np.asarray(zone_counts, dtype=float) / 2.0
+        magnitude = policy.fee * _agent_matrix(zone_counts, n, "zone_counts") / 2.0
     return np.where(mask, community.sign[:, None] * magnitude, 0.0)
 
 

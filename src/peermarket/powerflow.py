@@ -1,9 +1,11 @@
 """DC power flow and grid-side views of a market outcome.
 
-Lossless linearized flow: line flows are the PTDF matrix of the distance
-module applied to the per-bus injections. Balanced injections give flows
-that do not depend on the reference bus, so none is chosen here. Loading is
-reported as rate = |flow| / capacity, congestion as rates above 1.
+Lossless linearized flow: line flows are the network's PTDF matrix
+(``Network.ptdf``, built once with the network) applied to the per-bus
+injections, so a flow is one matrix-vector product and solves nothing.
+Balanced injections give flows that do not depend on the reference bus, so
+none is chosen here. Loading is reported as rate = |flow| / capacity,
+congestion as rates above 1.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import ptdf_matrix
 from .errors import ValidationError
 from .network import agent_buses
 
@@ -44,7 +45,7 @@ class ZoneExchangeReport:
 
 
 def dc_power_flow(network, injections):
-    """Solve the lossless flow for balanced per-bus injections (MW).
+    """Solve the lossless flow for balanced, finite per-bus injections (MW).
 
     An imbalance within the tolerance is withdrawn at the reference bus.
     """
@@ -52,12 +53,14 @@ def dc_power_flow(network, injections):
     if injections.shape != (network.n_buses,):
         raise ValidationError(
             f"injections must have one entry per bus ({network.n_buses}), got {injections.shape}")
+    if not np.isfinite(injections).all():
+        raise ValidationError("injections must be finite")
     residual = float(injections.sum())
     if abs(residual) > IMBALANCE_TOL * network.n_buses:
         raise ValidationError(
             f"injections do not balance: residual {residual:+.6f} MW exceeds "
             f"{IMBALANCE_TOL * network.n_buses:.3f} MW")
-    flows = ptdf_matrix(network) @ injections
+    flows = network.ptdf @ injections
     return FlowResult(flows=flows, rates=np.abs(flows) / network.capacity, lines=network.lines)
 
 

@@ -15,7 +15,7 @@ from .engine import ACTIVE_TRADE_TOL
 from .errors import ValidationError, read_lines
 from .network import agent_buses
 from .policies import perceived_price
-from .sweep import SweepRecord
+from .sweep import SweepRecord, check_fee_grid
 
 PLOT_THRESHOLD = 1e-2  # MW; below this a trade is noise on a market map
 
@@ -185,7 +185,7 @@ def write_sweep(path, records):
 
 
 def read_sweep(path):
-    """Parse a sweep table back into SweepRecords."""
+    """Parse a sweep table back into SweepRecords: finite, on a fee grid."""
     records = []
     for lineno, parts in _read(path, "sweep", SWEEP_COLUMNS):
         try:
@@ -210,8 +210,14 @@ def read_sweep(path):
             )
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: malformed sweep row") from None
+        if not np.isfinite([float(parts[k]) for k in (0, 3, 4, 5, 6, 7)]).all():
+            raise ValidationError(f"{path}:{lineno}: sweep values must be finite")
     if not records:
         raise ValidationError(f"{path}: empty sweep table")
+    try:
+        check_fee_grid([record.fee for record in records])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
     return records
 
 

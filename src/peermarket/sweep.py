@@ -44,6 +44,17 @@ class FeeRecommendation:
     interzone: float
 
 
+def check_fee_grid(fees):
+    """Raise ValidationError unless ``fees`` is nonempty, strictly increasing
+    and every fee valid: the rule for run_sweep's grid and read_sweep's."""
+    if not fees:
+        raise ValidationError("empty fee grid")
+    if any(b <= a for a, b in zip(fees, fees[1:])):
+        raise ValidationError("fee grid must be strictly increasing")
+    for fee in fees:
+        check_fee(fee)
+
+
 def run_sweep(community, network, policy, fees, config=None, rates_out=None):
     """One independent clear_market per fee; records in grid order.
 
@@ -54,12 +65,7 @@ def run_sweep(community, network, policy, fees, config=None, rates_out=None):
     the rate-distribution export.
     """
     fees = [float(u) for u in fees]
-    if not fees:
-        raise ValidationError("empty fee grid")
-    if any(b <= a for a, b in zip(fees, fees[1:])):
-        raise ValidationError("fee grid must be strictly increasing")
-    for fee in fees:
-        check_fee(fee)
+    check_fee_grid(fees)
     if policy.kind == FREE:
         raise ValidationError("sweeping the free policy is a single point; pick a fee policy")
     config = config or SolverConfig()

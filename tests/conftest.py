@@ -27,6 +27,14 @@ DATA_DIR = files("peermarket") / "data"
 NETWORK_FILE = str(DATA_DIR / "new_england.net")
 AGENTS_FILE = str(DATA_DIR / "new_england_agents.csv")
 
+# grids that load as text but cannot be solved: no line at all, and the
+# bundled grid with line 1-2 at a reactance whose 1/x overflows
+UNSOLVABLE_GRIDS = {
+    "no_lines": "version 1\n\n[buses]\n1 1\n\n[lines]\n",
+    "tiny_reactance": (DATA_DIR / "new_england.net").read_text(encoding="utf-8").replace(
+        "\n1   2   0.0411  600\n", "\n1   2   1e-320  600\n"),
+}
+
 # Tighter than the solver defaults so the clearing price is resolved well
 # below the oracle-comparison tolerances; converges in a few hundred iterations.
 REFERENCE_CONFIG = SolverConfig(eps_primal=1e-3, max_iterations=60000)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE
+from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE, UNSOLVABLE_GRIDS
 from peermarket import bisection_clearing
 from peermarket.cli import MAX_FEE_POINTS, main
 
@@ -467,3 +467,59 @@ def test_sweep_table_not_utf8_exits_2(tmp_path, capsys):
                       "interzone_mw,avg_rate,max_rate,max_line\n")
     assert cli("recommend-fee", table, "--revenue") == 2
     assert "not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, message", [("no_lines", "network has no lines"),
+                                           ("tiny_reactance", "finite susceptance")])
+def test_unsolvable_grid_exits_2(tmp_path, capsys, name, message):
+    network = tmp_path / "grid.net"
+    network.write_text(UNSOLVABLE_GRIDS[name])
+    agents = tmp_path / "agents.csv"
+    agents.write_text("agent_id,bus,role,a,b,c,p_min,p_max\n"
+                      "1,1,producer,0.1,20,0,0,100\n"
+                      "2,1,consumer,0.1,80,0,-100,0\n")
+    scenario = tmp_path / "case.ini"
+    scenario.write_text(f"[network]\npath = {network}\n\n[agents]\npath = {agents}\n\n"
+                        "[policy]\nkind = free\n")
+    assert cli("run", str(scenario), "--output", str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def zonal_sweep_rows(tmp_path_factory):
+    """Header and data rows of a valid 3-point zonal sweep (fees 0, 5, 10)."""
+    out = tmp_path_factory.mktemp("sweep")
+    assert cli("sweep", str(DATA_DIR / "zonal.ini"), "--fee-min", "0", "--fee-max", "10",
+               "--step", "5", "--output", str(out)) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    return lines[:2], [line.split(",") for line in lines[2:]]
+
+
+def _edited_sweep(tmp_path, zonal_sweep_rows, edit):
+    header, rows = zonal_sweep_rows
+    rows = edit([list(row) for row in rows])
+    path = tmp_path / "sweep.csv"
+    path.write_text("\n".join(header + [",".join(row) for row in rows]) + "\n")
+    return str(path)
+
+
+def _set(row, column, value):
+    row[column] = value
+    return row
+
+
+@pytest.mark.parametrize("edit, target, message", [
+    # read backwards, --max-rate 1.1 would answer fee 10 instead of 4.1233
+    (lambda rows: rows[::-1], ("--max-rate", "1.1"), "fee grid must be strictly increasing"),
+    # a nan revenue at fee 0 would be recommended over 32,107 EUR at fee 10
+    (lambda rows: [_set(rows[0], 4, "nan")] + rows[1:], ("--revenue",), "must be finite"),
+    # an infinite max_rate would be quoted as the top of the sweep's range
+    (lambda rows: rows[:2] + [_set(rows[2], 7, "inf")], ("--max-rate", "0.5"), "must be finite"),
+], ids=["reversed", "nan_gamma_so", "inf_max_rate"])
+def test_recommend_fee_rejects_bad_sweep_table(tmp_path, capsys, zonal_sweep_rows, edit,
+                                               target, message):
+    table = _edited_sweep(tmp_path, zonal_sweep_rows, edit)
+    assert cli("recommend-fee", table, *target) == 2
+    assert message in capsys.readouterr().err
+

@@ -13,13 +13,11 @@ from peermarket import (
     build_community,
     distance_matrix,
     power_transfer_distance,
-    ptdf_matrix,
     shortest_path,
     thevenin_line_weights,
     zone_crossing_matrix,
 )
-from peermarket.distances import bus_impedance_matrix, default_reference_bus
-from peermarket.network import Bus, Line, Network, susceptance_matrix
+from peermarket.network import Bus, Line, Network, default_reference_bus, susceptance_matrix
 
 
 def two_bus():
@@ -38,7 +36,7 @@ def test_metric_names():
 
 
 def test_two_bus_thevenin_pair():
-    z = bus_impedance_matrix(two_bus())
+    z = two_bus().impedance
     assert abs(z[0, 0] + z[1, 1] - 2 * z[0, 1]) == pytest.approx(0.1)
 
 
@@ -47,12 +45,12 @@ def test_two_bus_line_weight():
 
 
 def test_impedance_symmetric(network):
-    z = bus_impedance_matrix(network)
+    z = network.impedance
     assert np.allclose(z, z.T)
 
 
 def test_thevenin_pairs_nonnegative(network):
-    z = bus_impedance_matrix(network)
+    z = network.impedance
     diag = np.diag(z)
     pair = diag[:, None] + diag[None, :] - 2 * z
     assert pair.min() > -1e-12
@@ -95,14 +93,14 @@ def test_path_inside_one_zone(network):
 
 def test_ptdf_two_bus():
     net = two_bus()
-    h = ptdf_matrix(net)
+    h = net.ptdf
     assert h[0, net.bus_index(1)] == pytest.approx(1.0)
     assert h[0, net.bus_index(2)] == 0.0
 
 
 def test_ptdf_triangle_split():
     net = triangle()
-    h = ptdf_matrix(net)
+    h = net.ptdf
     # injection at 1 leaves 2/3 on the direct line to the reference bus 3,
     # 1/3 the long way
     assert abs(h[0, net.bus_index(1)]) == pytest.approx(1.0 / 3.0)
@@ -115,13 +113,11 @@ def test_power_transfer_corridor(network):
 
 
 def test_power_transfer_matches_matrix(community, network):
-    # the scalar distance solves for one trade; the matrix reads the PTDF
     matrix = distance_matrix(community, network, POWER_TRANSFER)
     buses = [agent.bus for agent in community.agents]
     for i, j in zip(*np.triu_indices(len(buses), 1)):
         if buses[i] != buses[j]:
-            assert power_transfer_distance(network, buses[i], buses[j]) == pytest.approx(
-                matrix[i, j], rel=1e-12)
+            assert power_transfer_distance(network, buses[i], buses[j]) == matrix[i, j]
 
 
 def test_power_transfer_same_bus(network):
@@ -231,7 +227,7 @@ def test_parallel_lines():
     net = Network([Bus(1, 1), Bus(2, 1)],
                   [Line(1, 1, 2, 0.1, 100.0), Line(2, 1, 2, 0.3, 100.0)])
     assert susceptance_matrix(net) == pytest.approx(np.array([[1.0, -1.0], [-1.0, 1.0]]) * 40 / 3)
-    assert ptdf_matrix(net)[:, 0] == pytest.approx([0.75, 0.25])
+    assert net.ptdf[:, 0] == pytest.approx([0.75, 0.25])
     assert thevenin_line_weights(net) == pytest.approx([0.075, 0.075])
 
 

@@ -1,7 +1,7 @@
 """Static hygiene of the package sources: no module imports a name it never
-reads, no private module-level helper is left without a reader, and every
-exported name has a reader. No linter ships with the package, so this
-stands in for one."""
+reads, no module-level helper that the package does not export is left
+without a reader, and every exported name has a reader. No linter ships
+with the package, so this stands in for one."""
 
 from __future__ import annotations
 
@@ -44,16 +44,17 @@ def test_no_unused_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
 
 
-def orphans(sources):
-    """Private module-level functions and classes of ``sources``, a mapping
-    of module name to text, that no module reads outside their own body."""
+def orphans(sources, exported=()):
+    """Module-level functions and classes of ``sources``, a mapping of
+    module name to text, that no module reads outside their own body: every
+    private one, and every public one that ``exported`` does not name."""
     defined, read = [], set()
     for module, source in sources.items():
         for node in ast.parse(source).body:
             owner = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = node.name
-                if owner.startswith("_") and not owner.startswith("__"):
+                if not owner.startswith("__") and owner not in exported:
                     defined.append((module, owner, node.lineno))
             for inner in ast.walk(node):
                 if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
@@ -73,11 +74,24 @@ def test_checker_flags_an_orphan_helper():
              "def public():\n    return _used()\n",
         "b": "from . import a\n\nVALUE = a._Kept\n",
     }
-    assert orphans(sources) == ["a: _recursive (line 4)"]
+    assert orphans(sources, exported=["public"]) == ["a: _recursive (line 4)"]
+
+
+def test_checker_flags_an_unread_public_helper():
+    sources = {
+        "a": "def exported():\n    return helper()\n\n"
+             "def helper():\n    return 1\n\n"
+             "def unread():\n    return 2\n\n"
+             "class Unread:\n    pass\n",
+        "b": "from .a import exported\n",
+    }
+    assert orphans(sources, exported=["exported"]) == ["a: Unread (line 10)",
+                                                       "a: unread (line 7)"]
 
 
 def test_no_orphan_helpers():
-    assert orphans({path.name: path.read_text(encoding="utf-8") for path in SOURCES}) == []
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert orphans(sources, exported=peermarket.__all__) == []
 
 
 def unread_exports(exported, sources, texts):

@@ -7,14 +7,25 @@ import pytest
 from hypothesis import given, settings
 
 from peermarket import (
+    METRICS,
+    ZONAL,
+    PolicySpec,
+    SolverConfig,
     ValidationError,
+    dc_power_flow,
+    distance_matrix,
+    load_agents,
     load_network,
     net_injections,
+    power_transfer_distance,
+    run_sweep,
     susceptance_matrix,
+    thevenin_line_weights,
+    zone_crossing_matrix,
 )
 from peermarket.network import Bus, Line, Network
 
-from conftest import NETWORK_FILE, mutate, row_edits, write_rows
+from conftest import AGENTS_FILE, NETWORK_FILE, UNSOLVABLE_GRIDS, mutate, row_edits, write_rows
 
 TWO_BUS = """\
 version 1
@@ -156,6 +167,43 @@ def test_direct_construction_validates():
 def test_nonfinite_reactance_rejected(value):
     with pytest.raises(ValidationError, match="reactance"):
         Network([Bus(1, 1), Bus(2, 1)], [Line(1, 1, 2, value, 100.0)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, message", [("no_lines", "network has no lines"),
+                                           ("tiny_reactance", "finite susceptance")])
+def test_unsolvable_grid_rejected(tmp_path, name, message):
+    # both fail in validation, before numpy can warn
+    assert "1e-320" in UNSOLVABLE_GRIDS["tiny_reactance"]
+    with pytest.raises(ValidationError, match=message):
+        load_network(write_net(tmp_path, UNSOLVABLE_GRIDS[name]))
+
+
+def test_one_grounded_solve_per_network(monkeypatch):
+    # the load solves the grid once; every grid computation after it reads
+    # the network's impedance and PTDF
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+    network = load_network(NETWORK_FILE)
+    assert len(calls) == 1
+    community = load_agents(AGENTS_FILE, network=network)
+    config = SolverConfig(eps_primal=3e-3, max_iterations=100000)
+    run_sweep(community, network, PolicySpec(ZONAL), [5.0 * i for i in range(13)],
+              config=config)
+    for metric in METRICS:
+        distance_matrix(community, network, metric)
+    zone_crossing_matrix(community, network)
+    thevenin_line_weights(network)
+    power_transfer_distance(network, 16, 39)
+    dc_power_flow(network, np.zeros(network.n_buses))
+    assert len(calls) == 1
+
+
+def test_grid_arrays_refuse_writes(network):
+    for array in (network.impedance, network.ptdf):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -90,6 +90,27 @@ def test_missing_dependency_errors(pair_community):
         build_gamma(PolicySpec(ZONAL, 1.0), pair_community)
 
 
+def test_distance_matrix_may_be_a_nested_list(pair_community):
+    d = [[0.0, 7.3], [7.3, 0.0]]
+    g = build_gamma(PolicySpec(DISTANCE, 2.0), pair_community, distances=d)
+    assert np.array_equal(g, build_gamma(PolicySpec(DISTANCE, 2.0), pair_community,
+                                         distances=np.array(d)))
+
+
+@pytest.mark.parametrize("kind, key", [(DISTANCE, "distances"), (ZONAL, "zone_counts")])
+@pytest.mark.parametrize("matrix", [
+    3.0,                                    # a scalar would broadcast to every pair
+    [[0.0, 2.0]],                           # 1 x N would broadcast down the rows
+    [[0.0, float("nan")], [1.0, 0.0]],
+    [[0.0, float("inf")], [1.0, 0.0]],
+    [[0.0, -1.0], [-1.0, 0.0]],
+    np.zeros((3, 3)),
+], ids=["scalar", "one_row", "nan", "inf", "negative", "too_large"])
+def test_malformed_agent_matrix_rejected(pair_community, kind, key, matrix):
+    with pytest.raises(ValidationError, match=f"{key} must be a finite, nonnegative 2 x 2"):
+        build_gamma(PolicySpec(kind, 2.0), pair_community, **{key: matrix})
+
+
 def test_perceived_price():
     assert perceived_price(58.1, -5.0) == pytest.approx(63.1)
     assert perceived_price(58.1, 5.0) == pytest.approx(53.1)

@@ -87,6 +87,20 @@ def test_imbalance_rejected():
         dc_power_flow(two_bus(), np.array([50.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_injection_rejected(community, network, bad):
+    # one bad bus would spread to every line; abs(nan) > tol is false, so
+    # the balance test alone lets nan through
+    injections = np.zeros(network.n_buses)
+    injections[network.bus_index(16)] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        dc_power_flow(network, injections)
+    net_powers = np.zeros(len(community.agents))
+    net_powers[0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        dc_power_flow(network, net_injections(community, net_powers, network))
+
+
 def test_line_rates_at_capacity():
     flows = dc_power_flow(two_bus(capacity=100.0), np.array([100.0, -100.0]))
     summary = line_rates(flows)
