@@ -152,10 +152,12 @@ class Community:
 def check_feasible(community):
     """Raise InfeasibleError unless the aggregate bounds admit a balanced
     dispatch, every agent without partners may stay at zero, and the
-    partnered pairs can carry a dispatch within every bound. The last test
-    is a transport flow (``_transport``); it is skipped where it cannot
-    fail once the others pass: when no agent is forced to trade, so that
-    trading nothing is feasible, and when every producer partners every
+    partnered pairs can carry a dispatch within every bound. On pairs
+    without capacity that last test, Hoffman's circulation condition,
+    splits into two Hall conditions (Ahuja, Magnanti and Orlin, Network
+    Flows, 1993, ch. 6), each a maximum flow (``_transport``) judged per
+    agent. It is skipped where it cannot fail once the others pass: when
+    no agent is forced to trade, and when every producer partners every
     consumer, so that the aggregate test is exact."""
     if community.p_min.sum() > FEASIBILITY_TOL:
         raise InfeasibleError("minimum supply exceeds what consumers can absorb")
@@ -167,87 +169,72 @@ def check_feasible(community):
                                   "must trade but has no partner")
     if not np.count_nonzero((community.p_min > 0.0) | (community.p_max < 0.0)):
         return
-    producers = np.count_nonzero(community.sign > 0)
+    seller = community.sign > 0
+    producers = np.count_nonzero(seller)
     if len(community.src) == 2 * producers * (len(community.agents) - producers):
         return
-    sold = np.flatnonzero(community.sign[community.src] > 0)
-    if _transport(community, sold, community.p_min, community.p_max, FEASIBILITY_TOL) is None:
-        raise InfeasibleError("feasible set is empty: the partnered pairs cannot carry "
-                              "every forced trade")
+    sold = np.flatnonzero(seller[community.src])
+    # the sellers' forced supply against the buyers' room, then the
+    # buyers' forced purchase against the sellers' capacity
+    for bound, forced in ((community.p_min, seller), (community.p_max, ~seller)):
+        flow = _transport(community, sold, np.abs(bound), FEASIBILITY_TOL)
+        moved = np.bincount(community.src, flow, len(community.agents))
+        if np.count_nonzero(np.abs(bound - moved)[forced] > FEASIBILITY_TOL):
+            raise InfeasibleError("feasible set is empty: the partnered pairs cannot carry "
+                                  "every forced trade")
 
 
-def _transport(community, pairs, lo, hi, tol):
-    """A flow f >= 0 from seller to buyer on the listed seller-side pairs
-    that gives every agent a total within [lo, hi], each lower bound met
-    within ``tol``, or None if there is none. Returned per pair of the
-    community's list: f on the seller side, -f on the buyer side, zero on
-    the pairs not listed.
-
-    A source S feeds each seller its supply, each buyer drains its
-    purchase into a sink T, and T returns the flow to S. The lower bounds
-    on the totals are lifted out by the standard reduction (Ahuja, Magnanti
-    and Orlin, Network Flows, 1993, ch. 6): each arc keeps its capacity
-    above its lower bound, a super source s* supplies every lower bound at
-    the arc's head and a super sink t* takes it at the tail, and a flow
-    within the bounds exists exactly when the maximum s*-t* flow saturates
-    every arc out of s*. A greedy pass in pair-list order comes first, then
-    shortest augmenting paths (Edmonds-Karp), whose support cycles are
-    cancelled (``_acyclic``). So the flow found is a vertex of the
-    transport polytope, deterministic in pair-list order."""
+def _transport(community, pairs, cap, tol):
+    """A maximum flow f >= 0 from seller to buyer on the listed seller-side
+    pairs in which every agent moves at most its ``cap`` (MW), per pair of
+    the community's list: f on the seller side, -f on the buyer side, zero
+    on the pairs not listed; the caller judges each agent's total. A greedy
+    pass in pair-list order comes first, then shortest augmenting paths
+    from one source to one sink (Edmonds-Karp) until every seller or every
+    buyer is within ``tol`` of its cap or no path is left, and the support's
+    cycles are cancelled (``_acyclic``): a vertex of the transport
+    polytope, deterministic in pair-list order."""
     seller = community.sign > 0
-    # what each agent delivers (seller) or takes (buyer), both >= 0
-    low = np.where(seller, lo, -hi)
-    room = np.where(seller, hi, -lo) - low
     ends = list(zip(community.src[pairs].tolist(), community.dst[pairs].tolist()))
-    # greedy: each pair in turn carries what both its ends still lack; each
-    # step fills one end, so its support is a forest
-    left = low.tolist()
+    # greedy: each pair in turn carries what both its ends still may move;
+    # each step fills one end, so its support is a forest
+    left = cap.tolist()
     sent = []
     for s, c in ends:
         amount = min(left[s], left[c])
         left[s] -= amount
         left[c] -= amount
         sent.append(amount)
-    # the buyers' and the sellers' lower bounds meet on the arc T -> S
-    owed = (float(low[~seller].sum()), float(low[seller].sum()))
-    if max(left) > tol or max(owed) - min(owed) > tol:
-        sent = _augmented(community, pairs, low, room, left, sent, owed, tol)
-        if sent is None:
-            return None
+    rest = np.array(left)
+    if min(rest[seller].max(), rest[~seller].max()) > tol:
+        sent = _augmented(community, pairs, cap, left, sent, tol)
     flow = np.zeros(len(community.src))
     flow[pairs] = sent
     flow[community.rev[pairs]] = np.negative(sent)
     return flow
 
 
-def _augmented(community, pairs, low, room, left, sent, owed, tol):
+def _augmented(community, pairs, cap, left, sent, tol):
     """The greedy flow of ``_transport`` completed by shortest augmenting
-    paths in the reduced network and made acyclic, or None where a lower
-    bound stays unmet. Arc a runs tail[a] -> head[a], with residual res[2a]
-    and that of its reverse res[2a + 1]: arc i < n carries agent i's lower
-    bound, arc n + i the rest of its range, then come the reduction's arcs
-    s* -> T, S -> t* and T -> S, and then the pairs."""
+    paths and made acyclic. Arc a runs tail[a] -> head[a], with residual
+    res[2a] and that of its reverse res[2a + 1]: arc i < n joins the source
+    to seller i or buyer i to the sink, and arc n + k is pair k."""
     seller = community.sign > 0
     n = len(seller)
-    S, T, source, sink = n, n + 1, n + 2, n + 3
-    first = 2 * n + 3  # the first pair's arc
+    source, sink = n, n + 1
     agents = np.arange(n)
-    tail = np.concatenate((np.where(seller, source, agents), np.where(seller, S, agents),
-                           [source, S, T], community.src[pairs])).tolist()
-    head = np.concatenate((np.where(seller, agents, sink), np.where(seller, agents, T),
-                           [T, sink, S], community.dst[pairs])).tolist()
-    cap = np.concatenate((low, room, owed, [np.inf], np.full(len(pairs), np.inf)))
-    used = np.concatenate((low - left, np.zeros(n), [min(owed)] * 3, sent))
-    res = np.column_stack((cap - used, used)).ravel().tolist()
-    out = [[] for _ in range(n + 4)]  # residual arcs leaving each node
+    tail = np.concatenate((np.where(seller, source, agents), community.src[pairs])).tolist()
+    head = np.concatenate((np.where(seller, agents, sink), community.dst[pairs])).tolist()
+    res = np.column_stack((np.concatenate((left, np.full(len(pairs), np.inf))),
+                           np.concatenate((cap - left, sent)))).ravel().tolist()
+    out = [[] for _ in range(n + 2)]  # residual arcs leaving each node
     for a, (t, h) in enumerate(zip(tail, head)):
         out[t].append(2 * a)
         out[h].append(2 * a + 1)
     to = [node for arc in zip(head, tail) for node in arc]
-    lower = [2 * a for a in range(n)] + [4 * n, 4 * n + 2]
-    supplied = [2 * i for i in range(n) if seller[i]] + [4 * n]
-    while max(res[r] for r in supplied) > tol:
-        via = [-1] * (n + 4)
+    sides = ([2 * i for i in range(n) if seller[i]], [2 * i for i in range(n) if not seller[i]])
+    while min(max(res[r] for r in side) for side in sides) > tol:
+        via = [-1] * (n + 2)
         queue = [source]
         for node in queue:
             for r in out[node]:
@@ -257,7 +244,7 @@ def _augmented(community, pairs, low, room, left, sent, owed, tol):
             if via[sink] >= 0:
                 break
         if via[sink] < 0:
-            return None
+            break
         path, node = [], sink
         while node != source:
             path.append(via[node])
@@ -266,9 +253,7 @@ def _augmented(community, pairs, low, room, left, sent, owed, tol):
         for r in path:
             res[r] -= amount
             res[r ^ 1] += amount
-    if max(res[r] for r in lower) > tol:
-        return None
-    return _acyclic(list(zip(tail[first:], head[first:])), res[2 * first + 1::2])
+    return _acyclic(list(zip(tail[n:], head[n:])), res[2 * n + 1::2])
 
 
 def _acyclic(ends, volume):

@@ -63,8 +63,9 @@ polished lambda, and the engine's prices clipped into [lambda_c + gamma_cs,
 lambda_s + gamma_sc], the range in which both sides are stationary. Where
 the optimal split is not unique, as under a free market or a uniform fee,
 the flow is the vertex ``community._transport`` finds, which depends only
-on the totals, the pairs that meet their wedge and the pair-list order. The stop check remains for runs the
-polish cannot finish; ``ClearingResult.stop`` says which ended the run.
+on the totals, the pairs that meet their wedge and the pair-list order. The
+stop check remains for runs the polish cannot finish; ``ClearingResult.stop``
+says which ended the run.
 
 The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
@@ -124,7 +125,8 @@ class SolverConfig:
         for name in ("eps_price", "eps_primal"):
             if not 0.0 < getattr(self, name) < float("inf"):  # also rejects NaN
                 raise ValidationError(f"solver parameter {name} must be positive and finite")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        if (not isinstance(self.max_iterations, (int, np.integer))
+                or isinstance(self.max_iterations, bool) or self.max_iterations < 1):
             raise ValidationError("max_iterations must be a whole number of at least 1")
 
 
@@ -337,11 +339,12 @@ def _polish(P, y, trading, community, local, terms):
     free lambda balances its totals exactly (``_balancing_price``), and an
     agent that trades nothing sits at zero with lambda = b. The point is
     the optimum when no pair has lambda_c - lambda_s above its wedge and a
-    transport flow on the pairs where it is equal meets every total: those
-    are the complementary-slackness conditions of a convex-cost flow
-    (Ahuja, Magnanti and Orlin, Network Flows, 1993, ch. 9 and 14). The
-    cheap tests run first; only the last calls ``_transport``. Returns the
-    flow per pair, the prices and lambda."""
+    flow on the pairs where it is equal meets every total: those are the
+    complementary-slackness conditions of a convex-cost flow (Ahuja,
+    Magnanti and Orlin, Network Flows, 1993, ch. 9 and 14). The flow is the
+    maximum flow of ``_transport`` with each agent capped at its total,
+    accepted when every agent's total is met within ROOT_TOL. The cheap
+    tests run first. Returns the flow per pair, the prices and lambda."""
     n = len(community.agents)
     chosen = trading.nonzero()[0]
     ends = terms.ends[:, chosen]
@@ -367,8 +370,8 @@ def _polish(P, y, trading, community, local, terms):
         return None
     totals = np.minimum(local.total_hi, np.maximum(local.total_lo,
                                                    (lam - community.b) * local.inv_a))
-    flow = _transport(community, terms.ends[2, slack <= terms.tol], totals, totals, ROOT_TOL)
-    if flow is None:
+    flow = _transport(community, terms.ends[2, slack <= terms.tol], np.abs(totals), ROOT_TOL)
+    if np.abs(_row_sums(community, flow) - totals).max() > ROOT_TOL:
         return None
     # every price between the two sides' marginals plus fees leaves both
     # stationary; the engine's own, clipped into that range

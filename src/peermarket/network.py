@@ -17,8 +17,9 @@ Reactances are per-unit series reactances on the system base; capacities are
 MW thermal limits. No result depends on the base, so the optional
 ``base_mva`` line is only checked to be positive and finite. Parallel lines
 between the same bus pair are allowed. A grid needs a line, each with a
-finite susceptance 1/x; the graph must be connected and zone labels must
-cover 1..max(zone) without gaps. ``Network`` solves the grid once, for the
+finite susceptance 1/x, and the susceptances summed at each bus must stay
+finite; the graph must be connected and zone labels must cover
+1..max(zone) without gaps. ``Network`` solves the grid once, for the
 impedance and PTDF that every distance and DC flow reads.
 """
 
@@ -84,9 +85,13 @@ class Network:
         by_id = np.argsort(self.ids)
         self.neighbours = tuple(tuple(by_id[row[by_id]].tolist()) for row in adjacent)
         self._check_connected()
-        # connected, with finite susceptances: the grounded system is nonsingular
-        keep = self.ids != default_reference_bus(self)
         B = susceptance_matrix(self)
+        finite = np.isfinite(B).all(axis=1)
+        if not finite.all():
+            bus = self.ids[finite.argmin()]
+            raise ValidationError(f"lines at bus {bus}: summed susceptance 1/x is not finite")
+        # connected, with a finite susceptance matrix: the grounded system is nonsingular
+        keep = self.ids != default_reference_bus(self)
         self.impedance = Z = np.zeros((self.n_buses, self.n_buses))
         Z[keep] = np.linalg.solve(B[np.ix_(keep, keep)], np.eye(self.n_buses)[keep])
         self.ptdf = (Z[self.line_from] - Z[self.line_to]) / self.reactance[:, None]
@@ -171,7 +176,8 @@ def susceptance_matrix(network):
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([j, i, i, j], axis=1).ravel()
     B = np.zeros((network.n_buses, network.n_buses))
-    np.add.at(B, (rows, cols), np.stack([-y, -y, y, y], axis=1).ravel())
+    with np.errstate(over="ignore"):  # parallel lines may sum past the float range
+        np.add.at(B, (rows, cols), np.stack([-y, -y, y, y], axis=1).ravel())
     return B
 
 

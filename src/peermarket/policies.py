@@ -54,9 +54,13 @@ def check_fee(fee):
 
 def _agent_matrix(values, n, what):
     """``values`` as a finite, nonnegative n x n float array; no broadcasting."""
-    values = np.asarray(values, dtype=float)
+    message = f"{what} must be a finite, nonnegative {n} x {n} matrix"
+    try:
+        values = np.asarray(values, dtype=float)
+    except ValueError:  # ragged nested lists
+        raise ValidationError(message) from None
     if values.shape != (n, n) or not np.isfinite(values).all() or (values < 0).any():
-        raise ValidationError(f"{what} must be a finite, nonnegative {n} x {n} matrix")
+        raise ValidationError(message)
     return values
 
 

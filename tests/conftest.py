@@ -27,12 +27,15 @@ DATA_DIR = files("peermarket") / "data"
 NETWORK_FILE = str(DATA_DIR / "new_england.net")
 AGENTS_FILE = str(DATA_DIR / "new_england_agents.csv")
 
-# grids that load as text but cannot be solved: no line at all, and the
-# bundled grid with line 1-2 at a reactance whose 1/x overflows
+# grids that load as text but cannot be solved: no line at all, the bundled
+# grid with line 1-2 at a reactance whose 1/x overflows, and two parallel
+# lines whose susceptances are each finite but overflow when summed
 UNSOLVABLE_GRIDS = {
     "no_lines": "version 1\n\n[buses]\n1 1\n\n[lines]\n",
     "tiny_reactance": (DATA_DIR / "new_england.net").read_text(encoding="utf-8").replace(
         "\n1   2   0.0411  600\n", "\n1   2   1e-320  600\n"),
+    "parallel_overflow": "version 1\n\n[buses]\n1 1\n2 1\n\n[lines]\n"
+                         "1 2 1e-308 100\n1 2 1e-308 100\n",
 }
 
 # Tighter than the solver defaults so the clearing price is resolved well
@@ -127,6 +130,28 @@ def harsh_communities():
         except InfeasibleError:
             continue
         yield com, build_gamma(PolicySpec(UNIQUE, fee), com)
+
+
+def sparse_community():
+    """2,000 agents, the first half producers, each consumer partnered with
+    5 distinct random producers and each pair with its own fee u from 0-10
+    (gamma u/2 for the producer, -u/2 for the consumer): a large sparse
+    market whose components balance only up to rounding. As the community
+    and its gamma."""
+    rng = np.random.default_rng(12)
+    n = 2000
+    rows = []
+    for i in range(n):
+        a, b, bound = rng.uniform(0.05, 0.1), rng.uniform(15, 85), rng.uniform(50, 500)
+        role, p_min, p_max = (PRODUCER, 0.0, bound) if i < n // 2 else (CONSUMER, -bound, 0.0)
+        rows.append((i + 1, i + 1, role, float(a), float(b), 0.0, float(p_min), float(p_max)))
+    pairs = np.array([(p, c) for c in range(n // 2, n)
+                      for p in rng.choice(n // 2, 5, replace=False)])
+    u = rng.uniform(0, 10, len(pairs))
+    gamma = np.zeros((n, n))
+    gamma[pairs[:, 0], pairs[:, 1]] = u / 2
+    gamma[pairs[:, 1], pairs[:, 0]] = -u / 2
+    return build_community(rows, partners=(pairs + 1).tolist()), gamma
 
 
 # Fuzzing the text parsers: each edit of a bundled file's data rows drops a

@@ -471,7 +471,8 @@ def test_sweep_table_not_utf8_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, message", [("no_lines", "network has no lines"),
-                                           ("tiny_reactance", "finite susceptance")])
+                                           ("tiny_reactance", "finite susceptance"),
+                                           ("parallel_overflow", "summed susceptance")])
 def test_unsolvable_grid_exits_2(tmp_path, capsys, name, message):
     network = tmp_path / "grid.net"
     network.write_text(UNSOLVABLE_GRIDS[name])

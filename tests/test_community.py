@@ -4,18 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import AGENTS_FILE, mutate, row_edits, write_rows
 from peermarket import (
     CONSUMER,
     PRODUCER,
     Community,
+    InfeasibleError,
     ValidationError,
     build_community,
     load_agents,
 )
-from peermarket.community import _transport
+from peermarket.community import _transport, check_feasible
 
 
 def test_bundled_census(community):
@@ -195,14 +196,15 @@ def test_self_partnership_rejected():
 
 @st.composite
 def transport_markets(draw):
-    """2-8 agents of both roles with whole-MW bounds, a random list of
-    producer-consumer partnerships, and a whole-MW flow on a random subset
-    of those pairs, as the community and that flow per seller-side pair."""
+    """2-8 agents of both roles with whole-MW bounds, often free to trade
+    nothing, a random list of producer-consumer partnerships, and a
+    whole-MW flow on a random subset of those pairs, as the community and
+    that flow per seller-side pair."""
     n = draw(st.integers(2, 8))
     producers = draw(st.integers(1, n - 1))
     rows = []
     for i in range(n):
-        low = draw(st.integers(0, 60))
+        low = draw(st.just(0) | st.integers(0, 60))
         high = low + draw(st.integers(0, 60))
         bounds = (low, high) if i < producers else (-high, -low)
         rows.append((i + 1, i + 1, PRODUCER if i < producers else CONSUMER,
@@ -252,17 +254,34 @@ def check_flow(com, pairs, flow, lo, hi):
         root[ends[0]] = ends[1]
 
 
+def feasible(com):
+    """Whether ``check_feasible`` accepts the community."""
+    try:
+        check_feasible(com)
+    except InfeasibleError:
+        return False
+    return True
+
+
+def split_market(bounds):
+    """Producers 1, 2 and consumers 3, 4 with the given bounds, partnered
+    1-3 and 2-4 only, as a market of ``transport_markets``."""
+    rows = [(i + 1, i + 1, PRODUCER if i < 2 else CONSUMER, 0.1, 50.0, 0.0, float(lo), float(hi))
+            for i, (lo, hi) in enumerate(bounds)]
+    return build_community(rows, partners=[(1, 3), (2, 4)]), np.zeros(2)
+
+
 @settings(max_examples=100, deadline=None)
 @given(transport_markets())
-def test_transport_agrees_with_linprog_on_bounds(market):
-    # the feasibility test of check_feasible: a flow on every partnered
-    # pair that keeps each agent within its bounds
+@example(split_market([(15, 15), (0, 10), (-10, 0), (-10, 0)]))  # seller 1 too big for 3
+@example(split_market([(0, 10), (0, 10), (-15, -15), (-10, 0)]))  # buyer 3 too big for 1
+def test_check_feasible_agrees_with_linprog(market):
+    # a flow on every partnered pair that keeps each agent within its
+    # bounds exists exactly when check_feasible accepts the community; the
+    # examples pass the aggregate test and fail one Hall condition each
     com, _ = market
     pairs = np.flatnonzero(com.sign[com.src] > 0)
-    flow = _transport(com, pairs, com.p_min, com.p_max, 1e-9)
-    assert (flow is not None) == linprog_feasible(com, pairs, com.p_min, com.p_max)
-    if flow is not None:
-        check_flow(com, pairs, flow, com.p_min, com.p_max)
+    assert feasible(com) == linprog_feasible(com, pairs, com.p_min, com.p_max)
 
 
 @settings(max_examples=100, deadline=None)
@@ -270,18 +289,20 @@ def test_transport_agrees_with_linprog_on_bounds(market):
 def test_transport_agrees_with_linprog_on_totals(market, data):
     # the polish's question: given exact totals, a flow on a subset of the
     # pairs; the totals come from a flow on the pairs, so every pair may
-    # carry them, and a subset may or may not
+    # carry them, and a subset may or may not. The maximum flow with each
+    # agent's total as its cap meets every total exactly when one exists
     com, volume = market
     sold = np.flatnonzero(com.sign[com.src] > 0)
     totals = np.bincount(com.src[sold], volume, len(com)) \
         - np.bincount(com.dst[sold], volume, len(com))
     keep = data.draw(st.lists(st.booleans(), min_size=len(sold), max_size=len(sold)))
     for pairs in (sold, sold[np.array(keep, dtype=bool)]):
-        flow = _transport(com, pairs, totals, totals, 1e-9)
-        assert (flow is not None) == linprog_feasible(com, pairs, totals, totals)
-        if flow is not None:
-            check_flow(com, pairs, flow, totals, totals)
-    assert _transport(com, sold, totals, totals, 1e-9) is not None
+        flow = _transport(com, pairs, np.abs(totals), 1e-9)
+        met = np.abs(np.bincount(com.src, flow, len(com)) - totals).max() <= 1e-9
+        assert met == linprog_feasible(com, pairs, totals, totals)
+        check_flow(com, pairs, flow, np.minimum(totals, 0.0), np.maximum(totals, 0.0))
+        if pairs is sold:
+            assert met
 
 
 # Tokens for the fuzz: garbage, non-finite and negative numbers, a huge

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, REFERENCE_CONFIG, harsh_communities, make_pair_community
+from conftest import (
+    DATA_DIR,
+    REFERENCE_CONFIG,
+    harsh_communities,
+    make_pair_community,
+    sparse_community,
+)
 from peermarket import (
     InfeasibleError,
     PolicySpec,
@@ -473,6 +479,29 @@ def test_harsh_population_converges():
     assert stalled == []
 
 
+def test_sparse_community_is_polished():
+    # 2,000 agents whose forest components balance only up to rounding: the
+    # polish must finish the run, and the result must pass a certificate
+    # that reads only its trades and marginals and the fees. Every net
+    # power is the agent's best response to its lambda, and every
+    # seller-side pair has lambda_c - lambda_s at most its wedge, equal
+    # where it trades
+    com, gamma = sparse_community()
+    result = clear_market(com, gamma)
+    assert result.stop == "polished"
+    trades, lam = result.trades, result.marginals
+    assert np.array_equal(trades, -trades.T)
+    assert not trades[~com.partner_mask()].any()
+    best = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
+    assert np.abs(trades.sum(axis=1) - best).max() <= 1e-9
+    sold = com.sign[com.src] > 0
+    s, c = com.src[sold], com.dst[sold]
+    assert np.all(trades[s, c] >= 0.0)
+    gap = lam[c] - lam[s] - (gamma[s, c] - gamma[c, s])
+    assert gap.max() <= 1e-9
+    assert np.abs(gap[trades[s, c] > 0.0]).max() <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def distance_market(community, network):
     """New England at the bundled distance scenario's fees. Its polish
@@ -533,10 +562,16 @@ def test_solver_config_rejects_non_finite(name, value):
         SolverConfig(**{name: value})
 
 
-@pytest.mark.parametrize("value", [1.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [1.5, float("inf"), float("nan"), True])
 def test_solver_config_rejects_fractional_iteration_cap(value):
+    # True is an int to Python, but not a cap
     with pytest.raises(ValidationError, match="max_iterations must be a whole number"):
         SolverConfig(max_iterations=value)
+
+
+def test_solver_config_accepts_a_numpy_integer_cap(pair_community):
+    config = SolverConfig(max_iterations=np.int64(100))
+    assert clear_market(pair_community, None, config).stop == "polished"
 
 
 def test_non_convergence_is_reported_not_raised(distance_market):

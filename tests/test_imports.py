@@ -46,11 +46,24 @@ def test_no_unused_imports(module):
 
 def orphans(sources, exported=()):
     """Module-level functions and classes of ``sources``, a mapping of
-    module name to text, that no module reads outside their own body: every
-    private one, and every public one that ``exported`` does not name."""
-    defined, read = [], set()
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
+    module name (``.py`` optional) to text, that no read outside their own
+    body can reach: every private one, and every public one that
+    ``exported`` does not name. A read reaches a definition inside the
+    defining module, in a module that imports the name from it, and as an
+    attribute of the defining module."""
+    trees = {module.removesuffix(".py"): ast.parse(source) for module, source in sources.items()}
+    defined, reached = [], set()
+    for module, tree in trees.items():
+        # what each imported name stands for, a (module, name) or a module
+        names, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                for alias in node.names:
+                    names[alias.asname or alias.name] = (node.module.split(".")[-1], alias.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    modules[alias.asname or alias.name.split(".")[0]] = alias.name.split(".")[-1]
+        for node in tree.body:
             owner = None
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owner = node.name
@@ -58,11 +71,15 @@ def orphans(sources, exported=()):
                     defined.append((module, owner, node.lineno))
             for inner in ast.walk(node):
                 if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
-                    read.add((inner.id, module, owner))
-                elif isinstance(inner, ast.Attribute):
-                    read.add((inner.attr, module, owner))
+                    target = names.get(inner.id, (module, inner.id))
+                elif isinstance(inner, ast.Attribute) and getattr(inner.value, "id", None) in modules:
+                    target = (modules[inner.value.id], inner.attr)
+                else:
+                    continue
+                if target != (module, owner):
+                    reached.add(target)
     return sorted(f"{module}: {name} (line {line})" for module, name, line in defined
-                  if not any(n == name and (m, o) != (module, name) for n, m, o in read))
+                  if (module, name) not in reached)
 
 
 def test_checker_flags_an_orphan_helper():
@@ -87,6 +104,22 @@ def test_checker_flags_an_unread_public_helper():
     }
     assert orphans(sources, exported=["exported"]) == ["a: Unread (line 10)",
                                                        "a: unread (line 7)"]
+
+
+def test_checker_matches_a_read_to_its_module():
+    # b reads its own shared(), not a's; a's other helpers are read through
+    # an import of the name and as an attribute of the module, and an
+    # attribute of anything else reaches nothing
+    sources = {
+        "a": "def shared():\n    return 1\n\n"
+             "def imported():\n    return 2\n\n"
+             "def dotted():\n    return 3\n\n"
+             "def method():\n    return 4\n",
+        "b": "from .a import imported as alias\nfrom . import a\n\n"
+             "def shared(item):\n    return alias() + a.dotted() + item.method()\n\n"
+             "VALUE = shared(0)\n",
+    }
+    assert orphans(sources) == ["a: method (line 10)", "a: shared (line 1)"]
 
 
 def test_no_orphan_helpers():

@@ -171,9 +171,10 @@ def test_nonfinite_reactance_rejected(value):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name, message", [("no_lines", "network has no lines"),
-                                           ("tiny_reactance", "finite susceptance")])
+                                           ("tiny_reactance", "finite susceptance"),
+                                           ("parallel_overflow", "summed susceptance")])
 def test_unsolvable_grid_rejected(tmp_path, name, message):
-    # both fail in validation, before numpy can warn
+    # each fails before the solve, and before numpy can warn
     assert "1e-320" in UNSOLVABLE_GRIDS["tiny_reactance"]
     with pytest.raises(ValidationError, match=message):
         load_network(write_net(tmp_path, UNSOLVABLE_GRIDS[name]))

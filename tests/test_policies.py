@@ -105,7 +105,8 @@ def test_distance_matrix_may_be_a_nested_list(pair_community):
     [[0.0, float("inf")], [1.0, 0.0]],
     [[0.0, -1.0], [-1.0, 0.0]],
     np.zeros((3, 3)),
-], ids=["scalar", "one_row", "nan", "inf", "negative", "too_large"])
+    [[0.0, 1.0], [1.0]],                    # ragged
+], ids=["scalar", "one_row", "nan", "inf", "negative", "too_large", "ragged"])
 def test_malformed_agent_matrix_rejected(pair_community, kind, key, matrix):
     with pytest.raises(ValidationError, match=f"{key} must be a finite, nonnegative 2 x 2"):
         build_gamma(PolicySpec(kind, 2.0), pair_community, **{key: matrix})
