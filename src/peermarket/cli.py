@@ -95,7 +95,8 @@ def _kind_and_metric(scenario, args, parser):
 
 def _policy_with_overrides(scenario, args, community, parser):
     kind, metric = _kind_and_metric(scenario, args, parser)
-    fee = scenario.policy.fee
+    # --policy free drops the scenario's fee; PolicySpec rejects a fee flag
+    fee = 0.0 if kind == FREE else scenario.policy.fee
     if args.fee is not None:
         fee = args.fee
     elif args.fee_pct is not None:
@@ -251,7 +252,9 @@ def cmd_sweep(args, parser):
     return 0
 
 
-def cmd_distances(args):
+def cmd_distances(args, parser):
+    if (args.matrix is None) != (args.agents is None):
+        parser.error("--matrix and --agents go together: the matrix needs the agents file")
     network = load_network(args.network)
     if args.metric == POWER_TRANSFER:
         value = power_transfer_distance(network, args.from_bus, args.to_bus)
@@ -262,9 +265,7 @@ def cmd_distances(args):
         print(f"thevenin distance {args.from_bus}-{args.to_bus}: {path.total_weight:.6f}")
         print("path: " + " ".join(str(b) for b in path.nodes))
         print(f"zones crossed: {len(path.zones_visited)}")
-    if args.matrix:
-        if not args.agents:
-            raise ValidationError("--matrix needs --agents to know the market participants")
+    if args.matrix is not None:
         community = load_agents(args.agents, network=network)
         matrix = distance_matrix(community, network, args.metric)
         reports.write_distance_matrix(args.matrix, community, matrix, args.metric)
@@ -341,7 +342,7 @@ def build_parser():
     dist.add_argument("metric", choices=METRICS)
     dist.add_argument("--matrix", default=None, help="also export the full agent matrix here")
     dist.add_argument("--agents", default=None, help="agents file for --matrix")
-    dist.set_defaults(func=cmd_distances)
+    dist.set_defaults(func=lambda args: cmd_distances(args, dist))
 
     flow = commands.add_parser("powerflow", help="DC flow for a written trades file")
     flow.add_argument("network")

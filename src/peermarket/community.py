@@ -10,8 +10,9 @@ consumer with p_max < 0 is obliged to buy at least |p_max|. Costs and
 bounds must be finite.
 
 Partnerships are undirected producer-consumer pairs of agent ids. A
-Community holds them only as its ordered pair list (``src``, ``dst``,
-``rev``), the form the engine and every per-pair array read.
+Community holds them only as its pair list (``src``, ``dst``), the form the
+engine and every per-pair array read: each trade's seller side, then its
+buyer side K pairs later.
 """
 
 from __future__ import annotations
@@ -50,36 +51,36 @@ class Community:
 
     partners is an optional iterable of undirected (id, id) pairs, each
     joining a producer and a consumer; by default every agent partners with
-    all agents of the opposite role. Pair e of the row-major partnered-pair
-    list is agent ``src[e]`` trading with agent ``dst[e]``, and ``rev[e]``
-    is the pair of the opposite side; every per-pair array of the package
-    uses this order. A pair listed twice, in either orientation, is one
-    partnership. ``partner_count`` holds each agent's number of partners,
-    ``unpartnered`` the positions of the agents that have none."""
+    all agents of the opposite role. A pair listed twice, in either
+    orientation, is one partnership. The K partnerships run in row-major
+    (``seller``, ``buyer``) order. Pair e is agent ``src[e]`` trading with
+    agent ``dst[e]``: ``src`` is ``seller`` then ``buyer`` and ``dst`` the
+    reverse, so pair e + K is the buyer side of partnership e; every
+    per-pair array of the package uses this order. ``partner_count`` holds
+    each agent's number of partners, ``unpartnered`` the positions of the
+    agents that have none."""
 
     def __init__(self, agents, partners=None):
         self.agents = tuple(agents)
         self._pos = {agent.id: i for i, agent in enumerate(self.agents)}
         self._validate()
-        self.a = np.array([ag.a for ag in self.agents])
-        self.b = np.array([ag.b for ag in self.agents])
-        self.c = np.array([ag.c for ag in self.agents])
-        self.p_min = np.array([ag.p_min for ag in self.agents])
-        self.p_max = np.array([ag.p_max for ag in self.agents])
+        # float also where a row holds whole numbers
+        self.a = np.array([ag.a for ag in self.agents], dtype=float)
+        self.b = np.array([ag.b for ag in self.agents], dtype=float)
+        self.c = np.array([ag.c for ag in self.agents], dtype=float)
+        self.p_min = np.array([ag.p_min for ag in self.agents], dtype=float)
+        self.p_max = np.array([ag.p_max for ag in self.agents], dtype=float)
         self.sign = np.array([1.0 if ag.role == PRODUCER else -1.0 for ag in self.agents])
         if partners is None:
-            self.src, self.dst = np.nonzero(self.sign[:, None] != self.sign[None, :])
+            seller, buyer = np.nonzero((self.sign[:, None] > 0) & (self.sign[None, :] < 0))
         else:
             n = len(self.agents)
-            keys = []
-            for pair in partners:
-                i, j = self._partner_positions(*pair)
-                keys += (i * n + j, j * n + i)
+            keys = [i * n + j for i, j in (self._partner_positions(*pair) for pair in partners)]
             # unique keys drop repeated pairs and sort the list row-major
-            self.src, self.dst = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
-        # both orientations of every pair are listed, so sorted by (dst, src)
-        # the pairs list each pair's opposite side
-        self.rev = np.lexsort((self.src, self.dst))
+            seller, buyer = np.divmod(np.unique(np.array(keys, dtype=np.intp)), n)
+        self.src = np.concatenate((seller, buyer))
+        self.dst = np.concatenate((buyer, seller))
+        self.seller, self.buyer = self.src[:len(seller)], self.dst[:len(seller)]
         self.partner_count = np.bincount(self.src, minlength=len(self.agents))
         self.unpartnered = tuple(np.flatnonzero(self.partner_count == 0).tolist())
 
@@ -111,7 +112,7 @@ class Community:
                     f"got [{agent.p_min}, {agent.p_max}]")
 
     def _partner_positions(self, first, second):
-        """Positions of the two agents of one listed partnership."""
+        """Positions of the seller and the buyer of one listed partnership."""
         if first == second:
             raise ValidationError(f"agent {first} cannot partner with itself")
         if first not in self._pos or second not in self._pos:
@@ -122,7 +123,7 @@ class Community:
             raise ValidationError(
                 f"partnership ({first}, {second}) joins two {self.agents[i].role}s, "
                 "which can never trade")
-        return i, j
+        return (i, j) if self.sign[i] > 0 else (j, i)
 
     def __len__(self):
         return len(self.agents)
@@ -171,13 +172,13 @@ def check_feasible(community):
         return
     seller = community.sign > 0
     producers = np.count_nonzero(seller)
-    if len(community.src) == 2 * producers * (len(community.agents) - producers):
+    partnerships = np.arange(len(community.seller))
+    if len(partnerships) == producers * (len(community.agents) - producers):
         return
-    sold = np.flatnonzero(seller[community.src])
     # the sellers' forced supply against the buyers' room, then the
     # buyers' forced purchase against the sellers' capacity
     for bound, forced in ((community.p_min, seller), (community.p_max, ~seller)):
-        flow = _transport(community, sold, np.abs(bound), FEASIBILITY_TOL)
+        flow = _transport(community, partnerships, np.abs(bound), FEASIBILITY_TOL)
         moved = np.bincount(community.src, flow, len(community.agents))
         if np.count_nonzero(np.abs(bound - moved)[forced] > FEASIBILITY_TOL):
             raise InfeasibleError("feasible set is empty: the partnered pairs cannot carry "
@@ -185,17 +186,17 @@ def check_feasible(community):
 
 
 def _transport(community, pairs, cap, tol):
-    """A maximum flow f >= 0 from seller to buyer on the listed seller-side
-    pairs in which every agent moves at most its ``cap`` (MW), per pair of
-    the community's list: f on the seller side, -f on the buyer side, zero
-    on the pairs not listed; the caller judges each agent's total. A greedy
+    """A maximum flow f >= 0 from seller to buyer on the listed
+    partnerships in which every agent moves at most its ``cap`` (MW), per
+    pair of the community's list: f on the seller side, -f on the buyer
+    side, zero on the others; the caller judges each agent's total. A greedy
     pass in pair-list order comes first, then shortest augmenting paths
     from one source to one sink (Edmonds-Karp) until every seller or every
     buyer is within ``tol`` of its cap or no path is left, and the support's
     cycles are cancelled (``_acyclic``): a vertex of the transport
     polytope, deterministic in pair-list order."""
     seller = community.sign > 0
-    ends = list(zip(community.src[pairs].tolist(), community.dst[pairs].tolist()))
+    ends = list(zip(community.seller[pairs].tolist(), community.buyer[pairs].tolist()))
     # greedy: each pair in turn carries what both its ends still may move;
     # each step fills one end, so its support is a forest
     left = cap.tolist()
@@ -210,7 +211,7 @@ def _transport(community, pairs, cap, tol):
         sent = _augmented(community, pairs, cap, left, sent, tol)
     flow = np.zeros(len(community.src))
     flow[pairs] = sent
-    flow[community.rev[pairs]] = np.negative(sent)
+    flow[pairs + len(community.seller)] = np.negative(sent)
     return flow
 
 
@@ -232,8 +233,10 @@ def _augmented(community, pairs, cap, left, sent, tol):
         out[t].append(2 * a)
         out[h].append(2 * a + 1)
     to = [node for arc in zip(head, tail) for node in arc]
-    sides = ([2 * i for i in range(n) if seller[i]], [2 * i for i in range(n) if not seller[i]])
-    while min(max(res[r] for r in side) for side in sides) > tol:
+    # sellers, then buyers, with more than tol left on their source or sink
+    # arc; a path lowers only its first and last of those arcs
+    unfilled = [sum(res[2 * i] > tol for i in range(n) if seller[i] == side) for side in (1, 0)]
+    while min(unfilled) > 0:
         via = [-1] * (n + 2)
         queue = [source]
         for node in queue:
@@ -250,9 +253,12 @@ def _augmented(community, pairs, cap, left, sent, tol):
             path.append(via[node])
             node = to[via[node] ^ 1]
         amount = min(res[r] for r in path)
+        above = [(r, res[r] > tol) for r in (path[-1], path[0])]
         for r in path:
             res[r] -= amount
             res[r ^ 1] += amount
+        for side, (r, was) in enumerate(above):
+            unfilled[side] -= was and res[r] <= tol
     return _acyclic(list(zip(tail[n:], head[n:])), res[2 * n + 1::2])
 
 

@@ -14,7 +14,7 @@ One iteration advances, in order:
   rho_nm, and lambda_n makes them sum to clip((lambda_n - b_n) / a_n,
   p_min, p_max), a monotone piecewise-linear root found by semismooth
   Newton (``_local_step``);
-* the coordinator copy Z = (P - P^T)/2;
+* the coordinator copy Z = (P - P^T)/2, per partnership;
 * the polish below, tried only when the set of pairs that trade has
   changed since its last try;
 * the stop check below; the last iteration the cap allows ends here, so a
@@ -71,15 +71,16 @@ The negotiation opens at the free-market clearing price of the whole
 community, with every agent's best response to it split evenly over its
 partners and made reciprocal (``_opening``).
 
-The state is ``clear_market``'s own locals on the community's pair list,
-one entry per partnered ordered pair: the proposals P, the coordinator copy
-Z and the prices y, with ``P[community.rev]`` the transpose, plus each
-agent's marginal lambda, which warm-starts its next local step, and the
-penalty scale s. The stop check reads the accepted trades and their net
-powers on the same list; the result's are built once, at return, where
-trades, proposals and prices become N x N matrices. The per-pair and
-per-agent constants are gathered once per market (``_PairTerms``,
-``_LocalTerms``, ``_PolishTerms``). All per-agent updates within one
+The state is ``clear_market``'s own locals on the community's pair list:
+the proposals P, one per side of each partnership, whose halves (the
+seller sides, then the buyer sides) are each other's transpose; the
+coordinator copy Z, as its seller side, and the prices y, one per
+partnership; each agent's marginal lambda, which warm-starts its next
+local step; and the penalty scale s. The stop check reads the accepted
+trades and their net powers on the same list; the result's are built once,
+at return, where trades, proposals and prices become N x N matrices. The
+per-pair and per-agent constants are gathered once per market
+(``_PairTerms``, ``_LocalTerms``). All per-agent updates within one
 iteration read only the frozen previous state, so the sweep order never
 affects the result.
 """
@@ -131,7 +132,7 @@ class SolverConfig:
 
 
 def _opening(community, local):
-    """The opening Z, y and marginals. Every pair is priced at the
+    """The opening Z, y and marginals. Every partnership is priced at the
     free-market clearing price of the whole community, the price at which
     the agents' best responses balance when fees and partnership lists are
     ignored. Each agent's best response, split evenly over its partners, is
@@ -140,8 +141,8 @@ def _opening(community, local):
     price = float(_balancing_price(local)[0])
     best = np.minimum(local.total_hi, np.maximum(
         local.total_lo, (price - community.b) * local.inv_a))
-    share = (best / np.maximum(community.partner_count, 1))[community.src]
-    Z = 0.5 * (share - share[community.rev])
+    share = best / np.maximum(community.partner_count, 1)
+    Z = 0.5 * (share[community.seller] - share[community.buyer])
     return Z, np.full(len(Z), price), community.b.copy()
 
 
@@ -214,19 +215,24 @@ class ClearingResult:
 
 class _PairTerms(NamedTuple):
     """Per-pair constants of one market, gathered once per ``clear_market``
-    call: the fee, the side's sign, and the Newton gain h."""
+    call: per side, the fee; per partnership, the Newton gain h and the
+    wedge gamma_sc - gamma_cs; and the price slack of a tight partnership
+    in the polish, a fixed fraction of the market's largest marginal cost
+    or fee, so that it scales with the cost unit."""
 
     gamma: np.ndarray
-    sign: np.ndarray
     gain: np.ndarray
+    wedge: np.ndarray
+    tol: float
 
     @classmethod
-    def gather(cls, community, gamma):
-        src, dst = community.src, community.dst
-        a, other = community.a[src], community.a[dst]
-        # a*other and a+other commute, so both sides of a pair get the same
-        # gain bit for bit
-        return cls(gamma[src, dst], community.sign[src], 2.0 * a * other / (a + other))
+    def gather(cls, community, gamma, local):
+        k = len(community.seller)
+        fees = gamma[community.src, community.dst]
+        a, other = community.a[community.seller], community.a[community.buyer]
+        scale = np.abs(np.concatenate((local.marginal_lo, local.marginal_hi, fees))).max()
+        return cls(fees, 2.0 * a * other / (a + other),
+                   fees[:k] - fees[k:], TIGHT_RTOL * float(scale))
 
 
 class _LocalTerms(NamedTuple):
@@ -238,7 +244,8 @@ class _LocalTerms(NamedTuple):
     term has t = b, rho = a and the box [-p_max, -p_min]: minus its total
     clip((lam - b)/a, p_min, p_max). An agent without partners cannot
     trade, so the box of its total is [0, 0]. Also kept per agent: 1/a,
-    and the box of its total with the marginal costs at both ends."""
+    the box of its total with the marginal costs at both ends, and whether
+    it is forced to trade, unable to sit at zero."""
 
     src: np.ndarray
     lo: np.ndarray
@@ -248,46 +255,22 @@ class _LocalTerms(NamedTuple):
     total_hi: np.ndarray
     marginal_lo: np.ndarray
     marginal_hi: np.ndarray
+    forced: np.ndarray
 
     @classmethod
     def gather(cls, community):
-        src, n = community.src, len(community.agents)
-        seller = community.sign[src] > 0
+        k, n = len(community.seller), len(community.agents)
         partnered = community.partner_count > 0
         total_lo = np.where(partnered, community.p_min, 0.0)
         total_hi = np.where(partnered, community.p_max, 0.0)
         inv_a = 1.0 / community.a
-        return cls(np.concatenate((src, np.arange(n))),
-                   np.concatenate((np.where(seller, 0.0, -np.inf), -total_hi)),
-                   np.concatenate((np.where(seller, np.inf, 0.0), -total_lo)),
+        # the seller sides come first: their box is [0, inf), the buyers' (-inf, 0]
+        return cls(np.concatenate((community.src, np.arange(n))),
+                   np.concatenate((np.zeros(k), np.full(k, -np.inf), -total_hi)),
+                   np.concatenate((np.full(k, np.inf), np.zeros(k), -total_lo)),
                    inv_a, total_lo, total_hi,
-                   community.a * total_lo + community.b, community.a * total_hi + community.b)
-
-
-class _PolishTerms(NamedTuple):
-    """Per-market constants of the polish, one column per seller-side
-    pair: ``ends`` holds the seller, the buyer, the pair's position in the
-    list and that of its opposite side; ``fees`` the two sides' fees and
-    ``wedge`` gamma_sc - gamma_cs. Also the agents that cannot sit at zero,
-    and the price slack within which a pair counts as tight: a fixed
-    fraction of the market's largest marginal cost or fee, so that it
-    scales with the cost unit."""
-
-    ends: np.ndarray
-    fees: np.ndarray
-    wedge: np.ndarray
-    forced: np.ndarray
-    tol: float
-
-    @classmethod
-    def gather(cls, community, pairs, local):
-        sold = (pairs.sign > 0.0).nonzero()[0]
-        ends = np.concatenate((community.src[sold], community.dst[sold], sold,
-                               community.rev[sold])).reshape(4, -1)
-        fees = pairs.gamma[ends[2:]]
-        scale = np.abs(np.concatenate((local.marginal_lo, local.marginal_hi, pairs.gamma))).max()
-        forced = (local.total_lo > 0.0) | (local.total_hi < 0.0)
-        return cls(ends, fees, fees[0] - fees[1], forced, TIGHT_RTOL * float(scale))
+                   community.a * total_lo + community.b, community.a * total_hi + community.b,
+                   (total_lo > 0.0) | (total_hi < 0.0))
 
 
 def _forest(n, ends, wedge):
@@ -332,7 +315,7 @@ def _forest(n, ends, wedge):
         label = parent[label]
 
 
-def _polish(P, y, trading, community, local, terms):
+def _polish(P, y, trading, community, local, pairs):
     """The exact optimum on the pairs that trade, or None. Trading pairs
     fix the differences of the agents' lambda along a maximum spanning
     forest by volume, lambda_c - lambda_s = wedge; each component's one
@@ -344,17 +327,19 @@ def _polish(P, y, trading, community, local, terms):
     Magnanti and Orlin, Network Flows, 1993, ch. 9 and 14). The flow is the
     maximum flow of ``_transport`` with each agent capped at its total,
     accepted when every agent's total is met within ROOT_TOL. The cheap
-    tests run first. Returns the flow per pair, the prices and lambda."""
+    tests run first. Returns the flow per pair, the price per partnership
+    and lambda."""
     n = len(community.agents)
+    # the seller and the buyer of every partnership
+    ends = community.src.reshape(2, -1)
     chosen = trading.nonzero()[0]
-    ends = terms.ends[:, chosen]
     traded = np.zeros(n, dtype=bool)
-    traded[ends[:2]] = True
-    if np.count_nonzero(terms.forced > traded):
+    traded[ends[:, chosen]] = True
+    if np.count_nonzero(local.forced > traded):
         return None
-    sides = P[ends[2:]]
-    order = np.argsort(np.maximum(-sides[0], sides[1]), kind="stable")
-    label, offset = _forest(n, ends[:2, order], terms.wedge[chosen[order]])
+    sides = P.reshape(2, -1)[:, chosen]
+    order = chosen[np.argsort(np.maximum(-sides[0], sides[1]), kind="stable")]
+    label, offset = _forest(n, ends[:, order], pairs.wedge[order])
     members = traded.nonzero()[0]
     # components numbered 0, 1, ... in the order of their roots
     root = np.zeros(n, dtype=np.intp)
@@ -364,22 +349,19 @@ def _polish(P, y, trading, community, local, terms):
     if len(members):
         lam[members] = offset[members] + _balancing_price(local, members, group,
                                                           offset[members])[group]
-    marginal = lam[terms.ends[:2]]
-    slack = terms.wedge - (marginal[1] - marginal[0])
-    if np.count_nonzero(slack < -terms.tol):
+    marginal = lam[ends]
+    slack = pairs.wedge - (marginal[1] - marginal[0])
+    if np.count_nonzero(slack < -pairs.tol):
         return None
     totals = np.minimum(local.total_hi, np.maximum(local.total_lo,
                                                    (lam - community.b) * local.inv_a))
-    flow = _transport(community, terms.ends[2, slack <= terms.tol], np.abs(totals), ROOT_TOL)
+    flow = _transport(community, (slack <= pairs.tol).nonzero()[0], np.abs(totals), ROOT_TOL)
     if np.abs(_row_sums(community, flow) - totals).max() > ROOT_TOL:
         return None
     # every price between the two sides' marginals plus fees leaves both
     # stationary; the engine's own, clipped into that range
-    marginal += terms.fees
-    sold = np.minimum(marginal[0], np.maximum(marginal[1], y[terms.ends[2]]))
-    prices = np.empty_like(y)
-    prices[terms.ends[2:]] = sold
-    return flow, prices, lam
+    marginal += pairs.gamma.reshape(2, -1)
+    return flow, np.minimum(marginal[0], np.maximum(marginal[1], y)), lam
 
 
 def _row_sums(community, values):
@@ -452,26 +434,28 @@ def _multipliers(lam, local):
 
 
 def _price_step(y, rho_half, excess):
-    """The next price of every pair, y - rho/2 (P + P^T), and the step
-    itself. The sum commutes, so y stays symmetric bit for bit."""
+    """The next price of every partnership, y - rho/2 (P + P^T), and the
+    step itself."""
     push = rho_half * excess
     return y - push, push
 
 
-def _coordinator_step(P, rev):
-    """Skew-symmetric reconciliation of both sides of every trade, plus the
-    pair excess P + P^T that the price step reads; one gather of the
-    opposite proposals serves both."""
-    opposite = P[rev]
-    return 0.5 * (P - opposite), P + opposite
+def _coordinator_step(P):
+    """Skew-symmetric reconciliation of both sides of every trade, as its
+    seller side, and the excess P + P^T that the price step reads, per
+    partnership: P holds the seller sides, then the buyer sides."""
+    k = len(P) // 2
+    seller, buyer = P[:k], P[k:]
+    return 0.5 * (seller - buyer), seller + buyer
 
 
 def _rebalanced(s, primal, dual):
-    """Residual balancing on the squared norms of the primal residual h (P
-    + P^T), the reciprocity gap in €/MW, and the dual residual rho (Z -
-    Z_old): double the penalty scale while the primal one exceeds the dual
-    one BALANCE_RATIO times, halve it in the reverse case. Powers of two
-    keep every run independent of the cost unit bit for bit. The loop
+    """Residual balancing on the squared norms, over the partnerships, of
+    the primal residual h (P + P^T), the reciprocity gap in €/MW, and the
+    dual residual rho (Z - Z_old): double the penalty scale while the
+    primal one exceeds the dual one BALANCE_RATIO times, halve it in the
+    reverse case. Powers of two keep every run independent of the cost
+    unit bit for bit. The loop
     balances only while the agents disagree with the coordinator by more
     than eps_primal, so the penalty settles once they agree: ADMM with a
     varying penalty converges when the penalty is eventually fixed."""
@@ -482,12 +466,13 @@ def _rebalanced(s, primal, dual):
     return s
 
 
-def _accepted_trades(P, rev):
+def _accepted_trades(P):
     """Volume both sides of each pair accept: the smaller of the two opposite
     proposals, zero where they do not face each other."""
-    opposite = P[rev]
-    facing = P * opposite < 0.0
-    return np.where(facing, np.sign(P) * np.minimum(np.abs(P), np.abs(opposite)), 0.0)
+    k = len(P) // 2
+    seller, buyer = P[:k], P[k:]
+    volume = np.where(seller * buyer < 0.0, np.minimum(seller, -buyer), 0.0)
+    return np.concatenate((volume, -volume))
 
 
 def _on_grid(values, community):
@@ -509,38 +494,39 @@ def clear_market(community, gamma=None, config=None):
     config = config if config is not None else SolverConfig()
     gamma = validate_gamma(community, gamma)
     check_feasible(community)
-    pairs = _PairTerms.gather(community, gamma)
     local = _LocalTerms.gather(community)
-    n_pairs = len(community.src)
+    pairs = _PairTerms.gather(community, gamma, local)
+    n_pairs, k = len(community.src), len(community.seller)
     # the pair part of these two changes every iteration and with s; the
     # agent part holds b and 1/a
     target = np.concatenate((np.zeros(n_pairs), community.b))
-    inv_rho = np.concatenate((1.0 / pairs.gain, local.inv_a))
+    inv_rho = np.concatenate((1.0 / pairs.gain, 1.0 / pairs.gain, local.inv_a))
     floor = _slope_floor(inv_rho)
-    head = target[:n_pairs]
+    head, sold, bought = target[:n_pairs], target[:k], target[k:n_pairs]
 
     Z, y, lam = _opening(community, local)
     s, rho, rho_half = 1.0, pairs.gain, 0.5 * pairs.gain
-    polish = _PolishTerms.gather(community, pairs, local)
     tried = None
     primal_hist = []
     for iterations in range(1, config.max_iterations + 1):
         Z_old = Z
-        np.subtract(np.add(np.multiply(rho, Z_old, out=head), y, out=head),
-                    pairs.gamma, out=head)
+        # rho Z + y - gamma on either side; the buyer side's Z is -Z
+        move = rho * Z_old
+        np.add(y, move, out=sold)
+        np.subtract(y, move, out=bought)
+        np.subtract(head, pairs.gamma, out=head)
         lam, terms = _local_step(lam, target, inv_rho, floor, local)
         P = terms[:n_pairs]
-        Z, excess = _coordinator_step(P, community.rev)
+        Z, excess = _coordinator_step(P)
         # P - Z is half the pair excess
         primal_hist.append(0.5 * float(np.abs(excess).max(initial=0.0)))
-        # the sign boxes make a seller-side pair trade where both sides are
+        # the sign boxes make a partnership trade where both sides are
         # nonzero; the polish is tried whenever that set changes
-        sides = P[polish.ends[2:]]
-        trading = sides[0] * sides[1] < 0.0
+        trading = P[:k] * P[k:] < 0.0
         key = trading.tobytes()
         if key != tried:
             tried = key
-            exact = _polish(P, y, trading, community, local, polish)
+            exact = _polish(P, y, trading, community, local, pairs)
             if exact is not None:
                 flow, prices, lam = exact
                 primal_hist[-1] = 0.0
@@ -560,10 +546,10 @@ def clear_market(community, gamma=None, config=None):
                 # powers of two: rho, rho/2 and 1/rho scale exactly
                 s, rho = scale, scale * pairs.gain
                 rho_half = 0.5 * rho
-                np.divide(1.0, rho, out=inv_rho[:n_pairs])
+                inv_rho[:n_pairs] = np.concatenate((1.0 / rho, 1.0 / rho))
                 floor = _slope_floor(inv_rho)
 
-    return _result(_accepted_trades(P, community.rev), P, y, lam, iterations, primal_hist,
+    return _result(_accepted_trades(P), P, y, lam, iterations, primal_hist,
                    community, pairs, "converged" if converged else "cap")
 
 
@@ -571,7 +557,8 @@ def _result(trades, proposals, prices, lam, iterations, primal_hist, community, 
     """The result of a run that ended with these per-pair arrays."""
     return ClearingResult(
         trades=_on_grid(trades, community), proposals=_on_grid(proposals, community),
-        prices=_on_grid(prices, community), net_powers=_row_sums(community, trades),
+        prices=_on_grid(np.concatenate((prices, prices)), community),
+        net_powers=_row_sums(community, trades),
         marginals=lam, iterations=iterations, converged=stop != "cap",
         primal_residuals=np.asarray(primal_hist),
         kkt_residual=_kkt_max(proposals, prices, lam, community, pairs), stop=stop)
@@ -582,11 +569,11 @@ def _bounds_hold(P, Z, lam, community, local, eps_primal):
     net powers of the accepted trades that the result reports; and,
     wherever a bound multiplier is positive, that bound tight within
     eps_primal."""
-    slack = _bound_slack(community, _row_sums(community, Z))
+    slack = _bound_slack(community, _row_sums(community, np.concatenate((Z, -Z))))
     bound = np.concatenate(_multipliers(lam, local)) > 0.0
     # accepted trades take the smaller side of each pair, so their net
     # powers can sit outside a bound that Z's row sums hold
-    net = _row_sums(community, _accepted_trades(P, community.rev))
+    net = _row_sums(community, _accepted_trades(P))
     return bool(slack.max() <= eps_primal
                 and (-slack[bound]).max(initial=0.0) <= eps_primal
                 and _bound_slack(community, net).max() <= eps_primal)
@@ -598,20 +585,23 @@ def _bound_slack(community, totals):
 
 
 def _kkt_max(proposals, prices, lam, community, pairs):
-    """Worst stationarity violation over the pairs. The local step is exact,
-    so agent n's marginal cost plus bound multipliers is lam_n and the
-    stationarity of pair n->m is lam_n - (y_nm - gamma_nm)."""
-    stationarity = lam[community.src] - prices + pairs.gamma
-    return _stationarity_max(proposals, stationarity, pairs.sign)
+    """Worst stationarity violation over the pairs, at one price per
+    partnership. The local step is exact, so agent n's marginal cost plus
+    bound multipliers is lam_n and the stationarity of pair n->m is lam_n -
+    (y_nm - gamma_nm)."""
+    stationarity = (lam[community.src].reshape(2, -1) - prices).ravel() + pairs.gamma
+    return _stationarity_max(proposals, stationarity)
 
 
-def _stationarity_max(proposals, expr, sign):
-    """Stationarity is judged on each agent's own proposals: the sign
-    multiplier is active exactly where the agent's projection clipped."""
+def _stationarity_max(proposals, expr):
+    """Stationarity is judged on each agent's own proposals, per pair of
+    the community's list: the sign multiplier is active exactly where the
+    agent's projection clipped."""
     # At a traded pair the expression must vanish. At a zero trade it is
     # absorbed by the sign multiplier, which exists on one side only:
-    # producers need expr >= 0 and consumers expr <= 0, so sign * expr >= 0.
-    oriented = sign * expr
+    # sellers, the first half, need expr >= 0 and buyers expr <= 0.
+    k = len(expr) // 2
+    oriented = np.concatenate((expr[:k], -expr[k:]))
     worst = (-oriented).max(initial=0.0)
     active = np.abs(proposals) > ACTIVE_TRADE_TOL
     return float(oriented[active].max(initial=worst)) + 0.0  # turns -0.0 into 0.0

@@ -44,6 +44,8 @@ class PolicySpec:
         if self.metric not in METRICS:
             raise ValidationError(f"unknown distance metric {self.metric!r}")
         check_fee(self.fee)
+        if self.kind == FREE and self.fee != 0.0:
+            raise ValidationError(f"the free policy takes no network fee, got {self.fee}")
 
 
 def check_fee(fee):

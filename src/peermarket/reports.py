@@ -90,8 +90,8 @@ def active_trade_count(result):
 
 
 def write_trades(path, community, result, gamma):
-    """Per ordered partner pair: MW, price, fee price, perceived price."""
-    src, dst = community.src, community.dst
+    """Per ordered partner pair, row-major: MW, price, fee price, perceived price."""
+    src, dst = community.partner_mask().nonzero()
     price, fee = result.prices[src, dst], gamma[src, dst]
     ids = [str(agent.id) for agent in community.agents]
     rows = [(ids[i], ids[j], fmt(mw), fmt(y), fmt(g), fmt(p))

@@ -247,6 +247,42 @@ def test_distances_matrix_export(tmp_path):
     assert target.read_text().startswith("# peermarket distances-power_transfer v")
 
 
+@pytest.mark.parametrize("flags", [["--matrix", "matrix.csv"], ["--agents", AGENTS_FILE]])
+def test_distances_matrix_and_agents_go_together(tmp_path, capsys, monkeypatch, flags):
+    # either flag alone is a usage error, raised before the distance prints
+    monkeypatch.chdir(tmp_path)
+    assert cli("distances", NETWORK_FILE, "16", "39", "power_transfer", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--matrix and --agents go together" in captured.err
+    assert not (tmp_path / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--fee", "--fee-pct"])
+def test_free_policy_fee_flag_exits_2(tmp_path, free_scenario, capsys, flag):
+    assert cli("run", free_scenario, flag, "10", "--output", str(tmp_path / "o")) == 2
+    assert "the free policy takes no network fee" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_free_policy_scenario_fee_exits_2(tmp_path, free_scenario, capsys):
+    with open(free_scenario, "a", encoding="utf-8") as handle:
+        handle.write("fee = 10\n")
+    assert cli("run", free_scenario, "--output", str(tmp_path / "o")) == 2
+    assert "the free policy takes no network fee" in capsys.readouterr().err
+
+
+def test_policy_free_drops_the_scenario_fee(tmp_path, capsys):
+    # the unique scenario sets fee 29; switched to the free policy, it
+    # clears without one
+    out = tmp_path / "out"
+    assert cli("run", str(DATA_DIR / "unique.ini"), "--policy", "free", "--output", str(out),
+               *FAST_SOLVER) == 0
+    assert "free policy, fee 0.0000" in capsys.readouterr().out
+    metrics = (out / "metrics.txt").read_text()
+    assert "scenario.policy = free\nscenario.fee = 0.000000\n" in metrics
+
+
 def _read_flow_rows(path):
     rows = []
     for line in path.read_text().splitlines():

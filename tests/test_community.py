@@ -173,6 +173,38 @@ def test_explicit_partner_list():
     assert not mask[1, 2]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.booleans(), min_size=2, max_size=8).filter(lambda r: 0 < sum(r) < len(r)),
+       st.data())
+def test_pair_list_depends_only_on_the_partnerships(roles, data):
+    # producers and consumers in any file order; the pair list lists the
+    # seller side of every partnership in row-major (seller, buyer) order,
+    # then the buyer side in the same order, whatever order, orientation
+    # or repetition the partner list uses
+    n = len(roles)
+    rows = [(i + 1, i + 1, PRODUCER if producer else CONSUMER, 0.1, 50.0, 0.0,
+             0.0 if producer else -10.0, 10.0 if producer else 0.0)
+            for i, producer in enumerate(roles)]
+    every = [(i + 1, j + 1) for i in range(n) for j in range(n) if roles[i] and not roles[j]]
+    chosen = data.draw(st.lists(st.sampled_from(every), unique=True))
+    com = build_community(rows, partners=chosen)
+    listed = data.draw(st.permutations(chosen))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    listed = [pair[::-1] if flip else pair for pair, flip in zip(listed, flips)]
+    if listed:
+        listed += data.draw(st.lists(st.sampled_from(listed), max_size=4))
+    other = build_community(rows, partners=listed)
+    assert np.array_equal(other.src, com.src) and np.array_equal(other.dst, com.dst)
+    k = len(chosen)
+    assert len(com.src) == 2 * k
+    assert np.array_equal(com.dst[:k], com.src[k:]) and np.array_equal(com.src[:k], com.dst[k:])
+    assert np.array_equal(com.seller, com.src[:k]) and np.array_equal(com.buyer, com.dst[:k])
+    assert np.all(com.sign[com.seller] > 0)
+    assert np.all(np.diff(com.seller * n + com.buyer) > 0)
+    default, full = build_community(rows), build_community(rows, partners=every)
+    assert np.array_equal(full.src, default.src) and np.array_equal(full.dst, default.dst)
+
+
 def test_same_role_partnership_rejected():
     # consumers 2 and 3 can never trade with each other: of the 6 ordered
     # pairs these partnerships list, 2 would carry dead state
@@ -199,7 +231,7 @@ def transport_markets(draw):
     """2-8 agents of both roles with whole-MW bounds, often free to trade
     nothing, a random list of producer-consumer partnerships, and a
     whole-MW flow on a random subset of those pairs, as the community and
-    that flow per seller-side pair."""
+    that flow per partnership."""
     n = draw(st.integers(2, 8))
     producers = draw(st.integers(1, n - 1))
     rows = []
@@ -211,17 +243,18 @@ def transport_markets(draw):
                      0.1, 50.0, 0.0, float(bounds[0]), float(bounds[1])))
     pairs = [(p + 1, c + 1) for p in range(producers) for c in range(producers, n)]
     com = build_community(rows, partners=draw(st.lists(st.sampled_from(pairs), unique=True)))
-    sold = np.flatnonzero(com.sign[com.src] > 0)
-    volume = draw(st.lists(st.integers(0, 40), min_size=len(sold), max_size=len(sold)))
+    k = len(com.seller)
+    volume = draw(st.lists(st.integers(0, 40), min_size=k, max_size=k))
     return com, np.array(volume, dtype=float)
 
 
 def linprog_feasible(com, pairs, lo, hi):
-    """Whether scipy's HiGHS finds f >= 0 on the pairs with totals in [lo, hi]."""
+    """Whether scipy's HiGHS finds f >= 0 on the partnerships with totals in
+    [lo, hi]."""
     optimize = pytest.importorskip("scipy.optimize")
     totals = np.zeros((len(com), len(pairs)))
-    totals[com.src[pairs], np.arange(len(pairs))] = 1.0
-    totals[com.dst[pairs], np.arange(len(pairs))] = -1.0
+    totals[com.seller[pairs], np.arange(len(pairs))] = 1.0
+    totals[com.buyer[pairs], np.arange(len(pairs))] = -1.0
     if not len(pairs):
         return bool(np.all(lo <= 0.0) and np.all(hi >= 0.0))
     result = optimize.linprog(np.zeros(len(pairs)), A_ub=np.vstack((totals, -totals)),
@@ -232,12 +265,13 @@ def linprog_feasible(com, pairs, lo, hi):
 
 def check_flow(com, pairs, flow, lo, hi):
     """A flow of ``_transport``: skew, nonnegative where sold, zero off the
-    listed pairs, every total within [lo, hi] up to 1e-9 MW, and a vertex:
-    the pairs that carry flow form a forest."""
-    assert np.array_equal(flow[com.rev], -flow)
-    listed = np.zeros(len(flow), dtype=bool)
-    listed[pairs] = listed[com.rev[pairs]] = True
-    assert not flow[~listed].any()
+    listed partnerships, every total within [lo, hi] up to 1e-9 MW, and a
+    vertex: the pairs that carry flow form a forest."""
+    k = len(com.seller)
+    assert np.array_equal(flow[k:], -flow[:k])
+    listed = np.zeros(k, dtype=bool)
+    listed[pairs] = True
+    assert not flow[:k][~listed].any()
     assert np.all(flow[pairs] >= 0.0)
     totals = np.bincount(com.src, flow, len(com))
     assert np.all(totals >= lo - 1e-9) and np.all(totals <= hi + 1e-9)
@@ -249,7 +283,7 @@ def check_flow(com, pairs, flow, lo, hi):
         return node
 
     for pair in pairs[flow[pairs] > 0.0]:
-        ends = find(com.src[pair]), find(com.dst[pair])
+        ends = find(com.seller[pair]), find(com.buyer[pair])
         assert ends[0] != ends[1], "the pairs that carry flow close a cycle"
         root[ends[0]] = ends[1]
 
@@ -280,7 +314,7 @@ def test_check_feasible_agrees_with_linprog(market):
     # bounds exists exactly when check_feasible accepts the community; the
     # examples pass the aggregate test and fail one Hall condition each
     com, _ = market
-    pairs = np.flatnonzero(com.sign[com.src] > 0)
+    pairs = np.arange(len(com.seller))
     assert feasible(com) == linprog_feasible(com, pairs, com.p_min, com.p_max)
 
 
@@ -292,9 +326,8 @@ def test_transport_agrees_with_linprog_on_totals(market, data):
     # carry them, and a subset may or may not. The maximum flow with each
     # agent's total as its cap meets every total exactly when one exists
     com, volume = market
-    sold = np.flatnonzero(com.sign[com.src] > 0)
-    totals = np.bincount(com.src[sold], volume, len(com)) \
-        - np.bincount(com.dst[sold], volume, len(com))
+    sold = np.arange(len(com.seller))
+    totals = np.bincount(com.seller, volume, len(com)) - np.bincount(com.buyer, volume, len(com))
     keep = data.draw(st.lists(st.booleans(), min_size=len(sold), max_size=len(sold)))
     for pairs in (sold, sold[np.array(keep, dtype=bool)]):
         flow = _transport(com, pairs, np.abs(totals), 1e-9)

@@ -11,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     DATA_DIR,
     REFERENCE_CONFIG,
+    acceptance_7_markets,
     harsh_communities,
     make_pair_community,
     sparse_community,
 )
 from peermarket import (
+    DISTANCE,
+    ClearingResult,
     InfeasibleError,
     PolicySpec,
     SolverConfig,
@@ -48,9 +51,11 @@ from peermarket.engine import (
     _stationarity_max,
 )
 
-# Per-pair arrays follow the community's row-major pair order. The pair
-# community has pairs (1->2, 2->1); the triple community, one producer and
-# two consumers, has pairs (1->2, 1->3, 2->1, 3->1).
+# Per-pair arrays list the seller side of every partnership, then the buyer
+# side in the same order; prices and the coordinator copy Z hold one entry
+# per partnership. The pair community has pairs (1->2, 2->1); the triple
+# community, one producer and two consumers, has pairs (1->2, 1->3, 2->1,
+# 3->1) and partnerships (1-2, 1-3).
 
 
 def triple_community_rows():
@@ -65,27 +70,30 @@ def triple_community():
     return build_community(triple_community_rows())
 
 
+def pair_terms(com):
+    """The pair terms of the community without fees."""
+    return _PairTerms.gather(com, np.zeros((len(com),) * 2), _LocalTerms.gather(com))
+
+
 def price_step(com, y, P, s=1.0):
     """The prices after one price step from ``y`` on the proposals ``P``, at
     penalty scale ``s``."""
-    _, excess = _coordinator_step(np.asarray(P, dtype=float), com.rev)
-    pairs = _PairTerms.gather(com, np.zeros((len(com),) * 2))
-    return _price_step(np.asarray(y, dtype=float), 0.5 * s * pairs.gain, excess)[0]
+    _, excess = _coordinator_step(np.asarray(P, dtype=float))
+    return _price_step(np.asarray(y, dtype=float), 0.5 * s * pair_terms(com).gain, excess)[0]
 
 
 def test_price_update_arithmetic():
     # the producer offers 10 MW, the consumer takes nothing: the excess
     # (10 + 0) / 2 = 5 MW at the gain h(0.1, 0.1) = 0.1 lowers the pair's
     # one price by 0.5
-    y = price_step(make_pair_community(), [50.0, 50.0], [10.0, 0.0])
+    y = price_step(make_pair_community(), [50.0], [10.0, 0.0])
+    assert y.shape == (1,)
     assert y[0] == pytest.approx(49.5)
-    assert y[1] == y[0]
 
 
 def test_price_update_fixed_point():
-    y = price_step(make_pair_community(), [50.0, 50.0], [8.0, -8.0])
-    assert y[0] == 50.0
-    assert y[1] == 50.0
+    y = price_step(make_pair_community(), [50.0], [8.0, -8.0])
+    assert np.array_equal(y, [50.0])
 
 
 def test_price_gain_is_harmonic_mean_of_curvatures():
@@ -96,27 +104,34 @@ def test_price_gain_is_harmonic_mean_of_curvatures():
         (1, 1, "producer", 0.1, 20.0, 0.0, 0.0, 500.0),
         (2, 2, "consumer", 0.3, 80.0, 0.0, -500.0, 0.0),
     ])
-    y = price_step(com, [50.0, 50.0], [10.0, 0.0])
+    y = price_step(com, [50.0], [10.0, 0.0])
     assert y[0] == pytest.approx(49.25)
-    assert y[1] == y[0]
 
 
 def test_price_step_scales_with_penalty():
     # at s = 2 the pair's penalty is rho = 2h and the same excess moves the
     # price twice as far
-    assert price_step(make_pair_community(), [50.0, 50.0], [10.0, 0.0], s=2.0)[0] \
+    assert price_step(make_pair_community(), [50.0], [10.0, 0.0], s=2.0)[0] \
         == pytest.approx(49.0)
+
+
+def local_inputs(com, y, Z, s=1.0):
+    """The local step's targets and 1/rho at prices ``y``, coordinator copy
+    ``Z`` (each one per partnership) and penalty scale ``s``, without fees,
+    as ``clear_market`` builds them, and its local terms."""
+    local = _LocalTerms.gather(com)
+    rho = s * pair_terms(com).gain
+    sides = rho * np.asarray(Z, dtype=float)
+    sides = np.concatenate((sides, -sides))
+    target = np.concatenate((sides + np.tile(np.asarray(y, dtype=float), 2), com.b))
+    return target, np.concatenate((np.tile(1.0 / rho, 2), local.inv_a)), local
 
 
 def local_step(com, y, Z, s=1.0):
     """One exact local step at prices ``y``, coordinator copy ``Z`` and
     penalty scale ``s``, as ``clear_market`` takes its first one, from every
     agent's own b: the marginals and the proposals."""
-    pairs = _PairTerms.gather(com, np.zeros((len(com),) * 2))
-    local = _LocalTerms.gather(com)
-    rho = s * pairs.gain
-    target = np.concatenate((rho * np.asarray(Z, dtype=float) + y, com.b))
-    inv_rho = np.concatenate((1.0 / rho, local.inv_a))
+    target, inv_rho, local = local_inputs(com, y, Z, s)
     lam, terms = _local_step(com.b, target, inv_rho, _slope_floor(inv_rho), local)
     return lam, terms[:len(com.src)]
 
@@ -160,7 +175,7 @@ def test_gradient_step_uniform_when_balanced():
     # both consumers face the producer at one price and one penalty, so
     # its local step splits its total evenly between them
     com = triple_community()
-    _, P = local_step(com, np.full(4, 50.0), [5.0, 5.0, -5.0, -5.0])
+    _, P = local_step(com, np.full(2, 50.0), [5.0, 5.0])
     assert P[0] == P[1]
     assert P[0] > 5.0
 
@@ -174,7 +189,7 @@ def test_gradient_step_zero_row():
         (2, 2, "consumer", 0.1, 80.0, 0.0, -500.0, 0.0),
         (3, 3, "consumer", 0.1, 75.0, 0.0, -500.0, 0.0),
     ])
-    lam, P = local_step(com, np.full(4, 40.0), np.zeros(4))
+    lam, P = local_step(com, np.full(2, 40.0), np.zeros(2))
     assert np.array_equal(P[:2], np.zeros(2))
     assert lam[0] == 52.5
 
@@ -182,7 +197,7 @@ def test_gradient_step_zero_row():
 def test_gradient_step_single_partner():
     # one partner: P = (rho Z + y - b) / (rho + a) in closed form, here
     # (0.1 * 100 + 50 - 20) / 0.2 = 200 MW, at marginal 20 + 0.1 * 200 = 40
-    lam, P = local_step(make_pair_community(), [50.0, 50.0], [100.0, -100.0])
+    lam, P = local_step(make_pair_community(), [50.0], [100.0])
     assert P[0] == pytest.approx(200.0)
     assert lam[0] == pytest.approx(40.0)
 
@@ -192,37 +207,33 @@ def test_gradient_step_starved_partner_keeps_share():
     # 3; at one price and one penalty both pairs move by the same amount,
     # so the starved pair gains as much as the traded one
     com = triple_community()
-    _, P = local_step(com, np.full(4, 50.0), [79.0, 0.0, -79.0, 0.0])
+    _, P = local_step(com, np.full(2, 50.0), [79.0, 0.0])
     assert P[1] > 0.0
     assert P[1] - 0.0 == pytest.approx(P[0] - 79.0)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+@given(st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
        st.lists(st.floats(20.0, 90.0), min_size=2, max_size=2),
        st.sampled_from([0.25, 1.0, 8.0]))
 def test_gradient_step_rows_normalised(Z, prices, s):
     # the local step's invariant: every agent's proposals sum to its total
     # clip((lambda - b)/a, p_min, p_max), within the root tolerance
     com = build_community(triple_community_rows())
-    lam, P = local_step(com, [prices[0], prices[1], prices[0], prices[1]], Z, s)
+    lam, P = local_step(com, prices, Z, s)
     totals = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
     assert np.abs(np.bincount(com.src, P, len(com)) - totals).max() <= ROOT_TOL
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(-300.0, 300.0), min_size=4, max_size=4),
+@given(st.lists(st.floats(-300.0, 300.0), min_size=2, max_size=2),
        st.lists(st.floats(20.0, 90.0), min_size=2, max_size=2),
        st.lists(st.floats(-1e4, 1e4), min_size=3, max_size=3))
 def test_bisection_solves_the_local_step(Z, prices, start):
     # the fallback after NEWTON_STEPS brackets every agent's root from any
     # marginals and meets the same invariant as the Newton steps
     com = build_community(triple_community_rows())
-    local = _LocalTerms.gather(com)
-    rho = _PairTerms.gather(com, np.zeros((3, 3))).gain
-    y = np.array([prices[0], prices[1], prices[0], prices[1]])
-    target = np.concatenate((rho * np.array(Z) + y, com.b))
-    inv_rho = np.concatenate((1.0 / rho, local.inv_a))
+    target, inv_rho, local = local_inputs(com, prices, Z)
     lam, terms = _bisect(np.array(start), target, inv_rho, local)
     totals = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
     assert np.abs(np.bincount(com.src, terms[:4], 3) - totals).max() <= ROOT_TOL
@@ -231,25 +242,26 @@ def test_bisection_solves_the_local_step(Z, prices, start):
 def test_trade_update_inverse_gradient():
     # at the consensus Z = 300 MW and the clearing price 50, the producer's
     # best response (50 - 20)/0.1 = 300 MW is a fixed point
-    P = local_step(make_pair_community(), [50.0, 50.0], [300.0, -300.0])[1]
+    P = local_step(make_pair_community(), [50.0], [300.0])[1]
     assert P[0] == pytest.approx(300.0)
 
 
 def test_trade_update_projects_producer():
     # price below marginal cost at zero output: the producer's proposal is
     # clipped to zero
-    assert local_step(make_pair_community(), [10.0, 10.0], [0.0, 0.0])[1][0] == 0.0
+    assert local_step(make_pair_community(), [10.0], [0.0])[1][0] == 0.0
 
 
 def test_trade_update_keeps_consumer_sign():
     # from Z = 0 at price 50 the consumer buys (50 - 80)/0.2 = -150 MW
-    P = local_step(make_pair_community(), [50.0, 50.0], [0.0, 0.0])[1]
+    P = local_step(make_pair_community(), [50.0], [0.0])[1]
     assert P[1] == pytest.approx(-150.0)
 
 
 def coordinator_step(P):
-    Z, _ = _coordinator_step(np.array(P), make_pair_community().rev)
-    return Z
+    """The coordinator copy of both sides of the pair community's trade."""
+    Z, _ = _coordinator_step(np.array(P))
+    return np.concatenate((Z, -Z))
 
 
 def test_coordinator_update():
@@ -494,8 +506,7 @@ def test_sparse_community_is_polished():
     assert not trades[~com.partner_mask()].any()
     best = np.clip((lam - com.b) / com.a, com.p_min, com.p_max)
     assert np.abs(trades.sum(axis=1) - best).max() <= 1e-9
-    sold = com.sign[com.src] > 0
-    s, c = com.src[sold], com.dst[sold]
+    s, c = com.seller, com.buyer
     assert np.all(trades[s, c] >= 0.0)
     gap = lam[c] - lam[s] - (gamma[s, c] - gamma[c, s])
     assert gap.max() <= 1e-9
@@ -655,9 +666,9 @@ def test_kkt_zero_at_exact_optimum(pair_community):
 def test_kkt_detects_price_perturbation(pair_community):
     result = clear_market(pair_community)
     at = (pair_community.src, pair_community.dst)
-    bumped = result.prices[at] + np.array([1.0, 0.0])
-    pairs = _PairTerms.gather(pair_community, np.zeros((2, 2)))
-    residual = _kkt_max(result.proposals[at], bumped, result.marginals, pair_community, pairs)
+    bumped = result.prices[pair_community.seller, pair_community.buyer] + 1.0
+    residual = _kkt_max(result.proposals[at], bumped, result.marginals, pair_community,
+                        pair_terms(pair_community))
     assert residual >= 1.0 - 1e-6
 
 
@@ -754,8 +765,7 @@ def test_kkt_residual_reads_the_marginals(market, cap):
     mu_hi, mu_lo = multipliers(com, result.marginals)
     marginal = com.a * result.proposals.sum(axis=1) + com.b + mu_hi - mu_lo
     reference = _stationarity_max(result.proposals[at],
-                                  marginal[com.src] - (result.prices - gamma)[at],
-                                  com.sign[com.src])
+                                  marginal[com.src] - (result.prices - gamma)[at])
     assert abs(result.kkt_residual - reference) <= com.a.max() * ROOT_TOL + 1e-9
 
 
@@ -799,3 +809,40 @@ def test_bundled_scenario_iterations(name):
     result = clear_market(community, gamma, scenario.solver)
     assert result.converged
     assert result.iterations == SCENARIO_ITERATIONS[name]
+
+
+# Iterations per market of acceptance 5's three sweeps at its settings
+# (unique and zonal fees 0-60 in steps of 5, distance fees 0-6.5 in steps of
+# 0.5) and of acceptance 7's 200 markets, pinned like the scenarios above.
+SWEEP_ITERATIONS = {
+    UNIQUE: ([5.0 * i for i in range(13)], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 153]),
+    ZONAL: ([5.0 * i for i in range(13)], [1, 2, 1, 41, 15, 1, 1, 1, 1, 1, 1, 1, 110]),
+    DISTANCE: ([0.5 * i for i in range(14)],
+               [1, 80, 78, 66, 25, 36, 23, 20, 55, 25, 26, 22, 22, 22]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SWEEP_ITERATIONS))
+def test_acceptance_5_sweep_iterations(kind, community, network):
+    fees, expected = SWEEP_ITERATIONS[kind]
+    records = run_sweep(community, network, PolicySpec(kind), fees,
+                        config=SolverConfig(eps_primal=3e-3, max_iterations=100000))
+    assert [record.iterations for record in records] == expected
+
+
+def test_acceptance_7_iterations():
+    # every market polishes at its first iteration but cases 127 and 131
+    iterations = [clear_market(com, gamma).iterations for com, gamma in acceptance_7_markets()]
+    assert iterations == [6 if case in (127, 131) else 1 for case in range(200)]
+
+
+@pytest.mark.parametrize("partners", [None, [(2, 1)], []])
+def test_whole_number_rows_clear_like_float_rows(partners):
+    # agent rows written with whole numbers are the same market as the
+    # same rows written as floats
+    rows = [(1, 1, "producer", 0.1, 20, 0, 0, 100), (2, 2, "consumer", 0.1, 80, 0, -100, 0)]
+    floats = [row[:3] + tuple(float(value) for value in row[3:]) for row in rows]
+    whole = clear_market(build_community(rows, partners))
+    exact = clear_market(build_community(floats, partners))
+    for field in dataclasses.fields(ClearingResult):
+        assert np.array_equal(getattr(whole, field.name), getattr(exact, field.name)), field.name

@@ -35,6 +35,16 @@ def test_policy_spec_validation():
             PolicySpec(UNIQUE, fee=fee)
 
 
+def test_free_policy_takes_no_fee():
+    # a fee under the free policy would be silently dropped by build_gamma
+    assert PolicySpec(FREE, fee=0.0).fee == 0.0
+    with pytest.raises(ValidationError, match="the free policy takes no network fee, got 10.0"):
+        PolicySpec(FREE, fee=10.0)
+    # a fee that is invalid under any policy reports that first
+    with pytest.raises(ValidationError, match="network fee must be nonnegative and finite"):
+        PolicySpec(FREE, fee=-1.0)
+
+
 def test_free_gamma_is_zero(pair_community):
     assert not build_gamma(PolicySpec(FREE), pair_community).any()
 

@@ -34,11 +34,12 @@ def test_reports_print_rounded_zero_unsigned(tmp_path):
 
 def test_write_trades_matches_per_pair_lookups(tmp_path, community, free_result):
     # the writer formats whole per-pair arrays; each row must read as the
-    # scalar lookups at (n, m) would
+    # scalar lookups at (n, m) would, partnered pairs in row-major order
     gamma = np.arange(len(community) ** 2, dtype=float).reshape(len(community), -1) / 7.0
     write_trades(tmp_path / "trades.csv", community, free_result, gamma)
     ids = [agent.id for agent in community.agents]
     trades, prices = free_result.trades, free_result.prices
+    pairs = zip(*community.partner_mask().nonzero())
     expected = [f"{ids[i]},{ids[j]},{fmt(trades[i, j])},{fmt(prices[i, j])},{fmt(gamma[i, j])},"
-                f"{fmt(prices[i, j] - gamma[i, j])}" for i, j in zip(community.src, community.dst)]
+                f"{fmt(prices[i, j] - gamma[i, j])}" for i, j in pairs]
     assert (tmp_path / "trades.csv").read_text().splitlines()[2:] == expected
