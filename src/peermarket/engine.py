@@ -57,7 +57,13 @@ balances its totals exactly, and an agent that trades nothing sits at zero
 with lambda = b. If no pair then exceeds its wedge and a transport flow on
 the pairs that meet it gives every agent its total, the point satisfies the
 optimality conditions up to rounding (``_polish``); the cheapest tests run
-first.
+first. An agent forced to trade with no trading pair fails them, so the
+run's first try, at iteration 1, completes the set as an active-set step
+does (Hintermüller, Ito and Kunisch, SIAM J. Optim. 13(3), 2002): each
+such agent gets its partnership of least slack wedge - (lambda_c -
+lambda_s) at the engine's marginals, and the same tests then judge the
+point. Later tries take the set as it is; completing each of them cost
+more failed flows than it saved.
 A polished result reports that flow as its trades and proposals, the
 polished lambda, and the engine's prices clipped into [lambda_c + gamma_cs,
 lambda_s + gamma_sc], the range in which both sides are stationary. Where
@@ -315,7 +321,7 @@ def _forest(n, ends, wedge):
         label = parent[label]
 
 
-def _polish(P, y, trading, community, local, pairs):
+def _polish(P, y, trading, community, local, pairs, guess=None):
     """The exact optimum on the pairs that trade, or None. Trading pairs
     fix the differences of the agents' lambda along a maximum spanning
     forest by volume, lambda_c - lambda_s = wedge; each component's one
@@ -327,16 +333,23 @@ def _polish(P, y, trading, community, local, pairs):
     Magnanti and Orlin, Network Flows, 1993, ch. 9 and 14). The flow is the
     maximum flow of ``_transport`` with each agent capped at its total,
     accepted when every agent's total is met within ROOT_TOL. The cheap
-    tests run first. Returns the flow per pair, the price per partnership
-    and lambda."""
+    tests run first. Given marginals ``guess``, an agent forced to trade
+    that has no trading pair first gets its partnership of least slack
+    wedge - (lambda_c - lambda_s) at those marginals, the lightest edges of
+    the forest; otherwise such an agent rejects the try. Returns the flow
+    per pair, the price per partnership and lambda."""
     n = len(community.agents)
     # the seller and the buyer of every partnership
     ends = community.src.reshape(2, -1)
     chosen = trading.nonzero()[0]
     traded = np.zeros(n, dtype=bool)
     traded[ends[:, chosen]] = True
-    if np.count_nonzero(local.forced > traded):
-        return None
+    missing = local.forced > traded
+    if np.count_nonzero(missing):
+        if guess is None:
+            return None
+        chosen = np.union1d(chosen, _least_slack(missing, guess, community, pairs))
+        traded[ends[:, chosen]] = True
     sides = P.reshape(2, -1)[:, chosen]
     order = chosen[np.argsort(np.maximum(-sides[0], sides[1]), kind="stable")]
     label, offset = _forest(n, ends[:, order], pairs.wedge[order])
@@ -362,6 +375,19 @@ def _polish(P, y, trading, community, local, pairs):
     # stationary; the engine's own, clipped into that range
     marginal += pairs.gamma.reshape(2, -1)
     return flow, np.minimum(marginal[0], np.maximum(marginal[1], y)), lam
+
+
+def _least_slack(missing, lam, community, pairs):
+    """For each agent in ``missing``, its partnership of least slack wedge -
+    (lambda_c - lambda_s) at the marginals ``lam``; the first in the pair
+    list on a tie."""
+    k = len(community.seller)
+    marginal = lam[community.src].reshape(2, -1)
+    slack = pairs.wedge - (marginal[1] - marginal[0])
+    # the sides of the missing agents, by agent and then by slack
+    sides = missing[community.src].nonzero()[0]
+    sides = sides[np.lexsort((slack[sides % k], community.src[sides]))]
+    return sides[np.unique(community.src[sides], return_index=True)[1]] % k
 
 
 def _row_sums(community, values):
@@ -526,7 +552,9 @@ def clear_market(community, gamma=None, config=None):
         key = trading.tobytes()
         if key != tried:
             tried = key
-            exact = _polish(P, y, trading, community, local, pairs)
+            # the first try also completes the trading set
+            exact = _polish(P, y, trading, community, local, pairs,
+                            lam if iterations == 1 else None)
             if exact is not None:
                 flow, prices, lam = exact
                 primal_hist[-1] = 0.0

@@ -121,25 +121,31 @@ def _row_step(w, lo, hi):
     return np.where(free == target, 0.0, _fill_level(w, target))
 
 
-def _line_minimum(slope, start):
-    """Where a convex function of c >= 0 stops falling, given its right
-    derivative: bracketed by doubling from ``start``, then bisected. Returns
-    the last point found still falling, 0 if it rises from the start and
-    inf if it still falls after 60 doublings."""
-    lo, hi = 0.0, start
-    for _ in range(60):
-        if slope(hi) >= 0.0:
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        return np.inf
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) >= 0.0:
+def _line_minimum(slope, kinks):
+    """Where a convex function of c >= 0 stops falling. ``slope(c)`` gives
+    its right derivative at c and the rate at which that derivative rises
+    there; the derivative is linear between the points of ``kinks`` (those
+    that are finite and positive) and may jump up at them. Bisected over
+    the sorted kinks, then solved on the one linear piece where the
+    derivative turns nonnegative. Returns 0 if it rises from the start and
+    inf if it still falls past the last kink at a zero rate."""
+    points = np.unique(kinks[np.isfinite(kinks) & (kinks > 0.0)])
+    # the derivative falls at points[lo] (lo = -1 stands for c = 0, unknown)
+    # and rises at points[hi] (hi = len(points) for none)
+    lo, hi = -1, len(points)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if slope(points[mid])[0] >= 0.0:
             hi = mid
         else:
             lo = mid
-    return lo
+    start = points[lo] if lo >= 0 else 0.0
+    end = points[hi] if hi < len(points) else np.inf
+    probe = 0.5 * (start + end) if end < np.inf else 2.0 * start + 1.0
+    value, rate = slope(probe)
+    if rate > 0.0:
+        return min(max(probe - value / rate, start), end)
+    return start if value >= 0.0 else end
 
 
 def _project_feasible(v, lo, hi, x, max_steps=20000):
@@ -204,19 +210,29 @@ def _project_feasible(v, lo, hi, x, max_steps=20000):
             # frees. Its slope is (bound - sums) . drift, with the bound of
             # each multiplier's sign (+inf where positive is not allowed);
             # a slope within the projection tolerance counts as flat, as the
-            # dual may fall no further along a ray when a box is tight.
+            # dual may fall no further along a ray when a box is tight. Pair
+            # ij moves by -(drift_i + drift_j) per unit while active, so the
+            # slope rises at the rate sum (drift_i + drift_j)^2 over the
+            # active pairs, and its kinks are where a multiplier changes
+            # sign or a pair's w crosses 0.
             drift = rhs - jac @ step
             reach = 0.0
             if drift @ drift > 0.25 * (rhs @ rhs):
                 drift[np.abs(drift) <= 1e-9 * np.abs(drift).max()] = 0.0
                 x = np.where(hi < np.inf, x, np.minimum(x, 0.0))
+                along = drift[:rows, None] + drift[None, rows:]
 
                 def slope(c):
                     y = x + c * drift
                     bound = np.where((y > 0.0) | ((y == 0.0) & (drift > 0.0)), hi, lo)
-                    return drift @ (bound - residual(y)[2]) + PROJECTION_TOL * np.abs(drift).sum()
+                    moved = residual(y)
+                    return (drift @ (bound - moved[2]) + PROJECTION_TOL * np.abs(drift).sum(),
+                            float(np.square(along[moved[1] > 0.0]).sum()))
 
-                reach = _line_minimum(slope, 1.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    kinks = np.concatenate((-x / drift,
+                                            ((v - x[:rows, None] - x[None, rows:]) / along).ravel()))
+                reach = _line_minimum(slope, kinks)
                 if reach == np.inf:
                     # a ray along which the dual falls without bound
                     # certifies that no feasible point exists

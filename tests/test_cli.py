@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import AGENTS_FILE, DATA_DIR, NETWORK_FILE, UNSOLVABLE_GRIDS
@@ -33,6 +38,16 @@ def write_free_scenario(tmp_path):
 @pytest.fixture
 def free_scenario(tmp_path):
     return write_free_scenario(tmp_path)
+
+
+def test_package_runs_as_a_module():
+    # python -m peermarket reaches the same command line
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "peermarket", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: peermarket")
 
 
 def test_usage_error_exits_1():

@@ -735,7 +735,7 @@ def test_polished_results_are_exact(market):
 
 def test_polish_stays_cheap_on_the_zonal_sweep(community, network, monkeypatch):
     # the polish is tried only when the pairs that trade change, and the
-    # flow runs only after every cheaper test passes: 41 tries and 14 flow
+    # flow runs only after every cheaper test passes: 28 tries and 14 flow
     # calls on the 13 fees at acceptance 5's settings
     calls = {"_polish": 0, "_transport": 0}
     for name in calls:
@@ -749,7 +749,7 @@ def test_polish_stays_cheap_on_the_zonal_sweep(community, network, monkeypatch):
     records = run_sweep(community, network, PolicySpec(ZONAL), [5.0 * i for i in range(13)],
                         config=SolverConfig(eps_primal=3e-3, max_iterations=100000))
     assert all(record.converged for record in records)
-    assert calls["_polish"] <= 45
+    assert calls["_polish"] <= 30
     assert calls["_transport"] <= 16
 
 
@@ -813,21 +813,62 @@ def test_bundled_scenario_iterations(name):
 
 # Iterations per market of acceptance 5's three sweeps at its settings
 # (unique and zonal fees 0-60 in steps of 5, distance fees 0-6.5 in steps of
-# 0.5) and of acceptance 7's 200 markets, pinned like the scenarios above.
+# 0.5), of the distance fees 0-60 in steps of 5 and of acceptance 7's 200
+# markets, pinned like the scenarios above. The first try's completed
+# trading set polishes unique fees 50-60, zonal fee 60 and distance fees
+# 25-60 at iteration 1.
+SWEEP_CONFIG = SolverConfig(eps_primal=3e-3, max_iterations=100000)
 SWEEP_ITERATIONS = {
-    UNIQUE: ([5.0 * i for i in range(13)], [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 153]),
-    ZONAL: ([5.0 * i for i in range(13)], [1, 2, 1, 41, 15, 1, 1, 1, 1, 1, 1, 1, 110]),
-    DISTANCE: ([0.5 * i for i in range(14)],
-               [1, 80, 78, 66, 25, 36, 23, 20, 55, 25, 26, 22, 22, 22]),
+    "unique": (UNIQUE, [5.0 * i for i in range(13)], [1] * 13),
+    "zonal": (ZONAL, [5.0 * i for i in range(13)], [1, 2, 1, 41, 15, 1, 1, 1, 1, 1, 1, 1, 1]),
+    "distance": (DISTANCE, [0.5 * i for i in range(14)],
+                 [1, 80, 78, 66, 25, 36, 23, 20, 55, 25, 26, 22, 22, 22]),
+    "distance-0-60": (DISTANCE, [5.0 * i for i in range(13)],
+                      [1, 26, 30, 47, 101, 1, 1, 1, 1, 1, 1, 1, 1]),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(SWEEP_ITERATIONS))
-def test_acceptance_5_sweep_iterations(kind, community, network):
-    fees, expected = SWEEP_ITERATIONS[kind]
-    records = run_sweep(community, network, PolicySpec(kind), fees,
-                        config=SolverConfig(eps_primal=3e-3, max_iterations=100000))
+@pytest.mark.parametrize("name", sorted(SWEEP_ITERATIONS))
+def test_acceptance_5_sweep_iterations(name, community, network):
+    kind, fees, expected = SWEEP_ITERATIONS[name]
+    records = run_sweep(community, network, PolicySpec(kind), fees, config=SWEEP_CONFIG)
     assert [record.iterations for record in records] == expected
+
+
+@pytest.mark.parametrize("kind, fees", [(UNIQUE, [50.0, 55.0, 60.0]), (ZONAL, [60.0]),
+                                        (DISTANCE, [5.0 * i for i in range(5, 13)])])
+def test_completed_first_tries_are_exact(kind, fees, community, network):
+    # every sweep market that the first try's completed trading set now
+    # polishes at iteration 1 is the exact optimum
+    unit = build_gamma(PolicySpec(kind, fee=1.0), community, network=network)
+    for fee in fees:
+        gamma = fee * unit
+        result = clear_market(community, gamma, SWEEP_CONFIG)
+        assert result.iterations == 1
+        check_polished(community, gamma, result)
+
+
+def test_distance_scenario_rejects_its_completed_first_try(distance_market, monkeypatch):
+    # at iteration 1 four agents forced to trade have no trading pair; the
+    # first try gives each its partnership of least slack, the certificate
+    # rejects that set, and the run still polishes at iteration 30
+    tries, added = [], []
+    polish, least_slack = engine._polish, engine._least_slack
+
+    def recorded(*args):
+        exact = polish(*args)
+        tries.append((args[-1] is not None, exact is None))
+        return exact
+
+    monkeypatch.setattr(engine, "_polish", recorded)
+    monkeypatch.setattr(engine, "_least_slack",
+                        lambda *args: added.append(least_slack(*args)) or added[-1])
+    result = clear_market(*distance_market)
+    assert [len(pairs) for pairs in added] == [4]
+    assert tries[0] == (True, True)
+    assert not any(completed for completed, _ in tries[1:])
+    assert result.stop == "polished"
+    assert result.iterations == 30
 
 
 def test_acceptance_7_iterations():
